@@ -188,7 +188,8 @@ def _cmd_reparam(config: RunConfig):
 def _cmd_cusps(config: RunConfig):
     s, _ = _spectral_from_config(config)
     times = config.times or list(np.geomspace(0.01, 10.0, 30))
-    series = cusps.zero_count_series(s, times)
+    reports = cusps.report_series(s, times)
+    series = [(rep.t, rep.count) for rep in reports]
     events = cusps.detect_strict_decrease(s, series)
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -198,15 +199,10 @@ def _cmd_cusps(config: RunConfig):
         for t, z in series:
             inside = sum(1 for e in events if e.interval[0] <= t < e.interval[1])
             fh.write(f"{t!r},{z},{inside}\n")
-    report = []
-    for t, _ in series:
-        rep = cusps.find_zeros(s, t)
-        report.append({
-            "t": t,
-            "count": rep.count,
-            "zeros": [{"u": z.location, "dbeta": z.derivative, "kind": z.kind}
-                      for z in rep.zeros],
-        })
+    report = [{"t": rep.t, "count": rep.count,
+               "zeros": [{"u": z.location, "dbeta": z.derivative, "kind": z.kind}
+                         for z in rep.zeros]}
+              for rep in reports]
     json_path = outdir / "cusp_report.json"
     json_path.write_text(json.dumps({
         "series": report,

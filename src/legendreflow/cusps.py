@@ -2,11 +2,13 @@
 
 A zero of beta(., t) marks a singular point of the flowing frontal; it is a
 (2,3)-cusp when d_u beta != 0 there (l = n > 0 always holds for the special
-flow).  The zero count z(t) is non-increasing in t, and each strict drop
-happens exactly at a degenerate zero with beta = d_u beta = 0.
-
-All thresholds scale with ||beta(., t)||_inf since the modes grow or decay
-exponentially.
+flow).  The zero count z(t) is non-increasing in t (Angenent's zero-number
+theorem), and each strict drop happens exactly at a degenerate zero with
+beta = d_u beta = 0.  With z = e^{iu} the zeros of the degree-K trigonometric
+polynomial beta are the unit-circle roots of the polynomial z^K beta, found as
+companion-matrix eigenvalues (Boyd, J. Eng. Math. 56, 2006); d_u and d_t act
+mode-wise as (ik)^p lambda_k^q.  Zero sets ignore positive factors, so the
+largest growth factor is divided out: counts hold at any t.
 """
 
 from __future__ import annotations
@@ -14,15 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
 
-from .errors import DegenerateStateError, InvariantViolationError, ValidationError
-from .spectral import SpectralBeta, evolve_beta, evolve_beta_derivative
+from .errors import InvariantViolationError, ValidationError
+from .spectral import SpectralBeta
 
 DERIVATIVE_THRESHOLD = 1e-8     # relative: simple cusp iff |d_u beta| > thr * scale
-TANGENTIAL_THRESHOLD = 1e-10    # relative: |beta| dips below this at a touch point
-ROOT_TOL = 1e-13                # relative: bisection target for |beta| at a root
-SEPARATION = 1e-6               # minimum u-distance between reported zeros
+# A simple zero's root lies on |z| = 1 to rounding; a double root splits into
+# two roots about sqrt(eps) ~ 1.5e-8 apart, on or off the circle.  Roots within
+# this of the circle are zeros, and two within it of each other are one zero.
+UNIT_CIRCLE_TOL = 1e-6
+NEGLIGIBLE_MODE = 1e-14         # relative: smaller evolved modes are dropped
 EVENT_DT = 1e-6                 # bisection resolution for strict-decrease times
 
 
@@ -57,76 +60,86 @@ class DecreaseEvent:
     witness_dbeta: float
 
 
-def _dense_grid(s: SpectralBeta):
-    return np.linspace(0.0, 2.0 * np.pi, max(2048, 32 * max(1, s.truncation)),
-                       endpoint=False)
+def _evolved(s: SpectralBeta, t):
+    """(c, shift), beta(u, t) = e^shift Re sum_k c_k e^{iku}, c_k = (a_k - i b_k)
+    e^{lambda_k t - shift}; shift is the largest lambda_k t of a nonzero mode."""
+    c = s.cos_coeffs - 1j * s.sin_coeffs
+    live = c != 0.0
+    rate = s.eigenvalues()[live] * t
+    c[live] *= np.exp(rate - rate.max())
+    c[np.abs(c) < NEGLIGIBLE_MODE * np.max(np.abs(c))] = 0.0
+    return c[: np.flatnonzero(c)[-1] + 1], float(rate.max())
+
+
+def _derivatives(c, u, orders, lam=None):
+    """Columns d_u^p d_t^q beta(u) = Re sum_k c_k (ik)^p lambda_k^q e^{iku}, (p, q) in orders."""
+    k = np.arange(c.shape[0])
+    weights = np.stack([c * (1j * k) ** p * (lam ** q if q else 1.0) for p, q in orders], 1)
+    return np.real(np.exp(1j * np.multiply.outer(np.asarray(u, dtype=float), k)) @ weights)
+
+
+def _sup(c):
+    """sup |Re sum_k c_k e^{iku}| on a uniform grid, by one inverse FFT."""
+    half = np.concatenate([c[:1].real, 0.5 * c[1:]])
+    return float(np.max(np.abs(np.fft.irfft(half, max(2048, 32 * c.shape[0]), norm="forward"))))
+
+
+def _roots(c):
+    """The 2K roots of z^K beta, whose coefficients from the top degree down
+    are c_K/2 .. c_1/2, c_0, conj(c_1)/2 .. conj(c_K)/2."""
+    return np.roots(np.concatenate([0.5 * c[:0:-1], [c[0].real], 0.5 * np.conj(c[1:])]))
+
+
+def _circle_zeros(roots):
+    """Sorted angles of the unit-circle roots with the halves of a split
+    double root merged, and flags marking the merged ones."""
+    z = roots[np.abs(np.abs(roots) - 1.0) < UNIT_CIRCLE_TOL]
+    z = z[np.argsort(np.mod(np.angle(z), 2.0 * np.pi))]
+    close = np.abs(z - np.roll(z, 1)) < UNIT_CIRCLE_TOL
+    label = np.zeros(z.shape[0], dtype=int) if close.all() else np.cumsum(~close) - 1
+    label[label < 0] = label[-1] if label.size else 0     # a pair across the seam
+    centre = np.bincount(label, z.real) + 1j * np.bincount(label, z.imag)
+    return np.mod(np.angle(centre), 2.0 * np.pi), np.bincount(label) > 1
+
+
+def _count(s, t):  # z(t) from the roots and the circle test alone
+    return _circle_zeros(_roots(_evolved(s, t)[0]))[0].shape[0]
 
 
 def find_zeros(s: SpectralBeta, t) -> CuspReport:
-    """All zeros of beta(., t) on [0, 2*pi), classified.
-
-    Sign changes on a dense grid are refined by Brent bisection; tangential
-    (even-touch) zeros, invisible to the sign scan, are recovered from local
-    minima of |beta| that dip below the tangential threshold.
-    """
+    """All zeros of beta(., t) on [0, 2*pi), polished by Newton steps on beta
+    (on d_u beta for a merged double root) and classified."""
     if t < 0:
         raise ValidationError(f"time must be >= 0, got {t}")
-    grid = _dense_grid(s)
-    values = evolve_beta(s, t, grid)
-    scale = float(np.max(np.abs(values)))
-    if scale == 0.0:
-        raise DegenerateStateError("beta(., t) is identically zero")
+    c, shift = _evolved(s, t)
+    u, merged = _circle_zeros(_roots(c))
+    for _ in range(2):
+        d = _derivatives(c, u, ((0, 0), (1, 0), (2, 0)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(merged, d[:, 1] / d[:, 2], d[:, 0] / d[:, 1])
+        # a root is already within sqrt(eps); a longer step would leave its zero
+        u = np.mod(u - np.where(np.abs(step) < UNIT_CIRCLE_TOL, step, 0.0), 2.0 * np.pi)
+    u = np.sort(u)
+    slope, scale = _derivatives(c, u, ((1, 0),))[:, 0], _sup(c)
+    zeros = tuple(Zero(float(r), float(np.exp(shift) * d),
+                       "simple_cusp" if abs(d) > DERIVATIVE_THRESHOLD * scale else "degenerate")
+                  for r, d in zip(u, slope))
+    return CuspReport(t=float(t), zeros=zeros, scale=float(np.exp(shift) * scale))
 
-    def f(u):
-        return float(evolve_beta(s, t, np.array([u]))[0])
 
-    num = grid.shape[0]
-    step = 2.0 * np.pi / num
-    roots = []
-    sign = np.sign(values)
-    for j in range(num):
-        a, b = values[j], values[(j + 1) % num]
-        if sign[j] == 0.0:
-            roots.append(grid[j])
-        elif a * b < 0.0:
-            lo, hi = grid[j], grid[j] + step
-            roots.append(brentq(f, lo, hi, xtol=ROOT_TOL * max(scale, 1e-300),
-                                rtol=8.9e-16))
+def _time_grid(times):
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or np.any(times <= 0.0) or np.any(np.diff(times) <= 0.0):
+        raise ValidationError("times must be strictly increasing and positive")
+    return times
 
-    # tangential zeros: local minima of |beta| below threshold
-    absval = np.abs(values)
-    local_min = (absval <= np.roll(absval, 1)) & (absval <= np.roll(absval, -1))
-    for j in np.nonzero(local_min & (absval < TANGENTIAL_THRESHOLD * scale))[0]:
-        u0 = grid[j]
-        # polish on |beta|^2 by a couple of derivative-root steps
-        for _ in range(8):
-            d1 = float(evolve_beta_derivative(s, t, np.array([u0]))[0])
-            d2 = float(evolve_beta_derivative(s, t, np.array([u0]), order=2)[0])
-            b0 = f(u0)
-            g = 2.0 * b0 * d1
-            h = 2.0 * (d1 * d1 + b0 * d2)
-            if h <= 0.0:
-                break
-            u0 = u0 - g / h
-        if abs(f(u0)) < TANGENTIAL_THRESHOLD * scale:
-            roots.append(float(np.mod(u0, 2.0 * np.pi)))
 
-    roots = sorted(np.mod(roots, 2.0 * np.pi))
-    pruned = []
-    for r in roots:
-        if pruned and (r - pruned[-1] < SEPARATION):
-            continue
-        pruned.append(r)
-    # the seam: first and last may be the same zero modulo 2*pi
-    if len(pruned) > 1 and (pruned[0] + 2.0 * np.pi - pruned[-1]) < SEPARATION:
-        pruned.pop()
-
-    zeros = []
-    for r in pruned:
-        d = float(evolve_beta_derivative(s, t, np.array([r]))[0])
-        kind = "simple_cusp" if abs(d) > DERIVATIVE_THRESHOLD * scale else "degenerate"
-        zeros.append(Zero(location=float(r), derivative=d, kind=kind))
-    return CuspReport(t=float(t), zeros=tuple(zeros), scale=scale)
+def _monotone(series):
+    for (t0, z0), (t1, z1) in zip(series, series[1:]):
+        if z1 > z0:
+            raise InvariantViolationError(
+                f"zero count increased from {z0} at t={t0:g} to {z1} at t={t1:g}")
+    return series
 
 
 def zero_count_series(s: SpectralBeta, times):
@@ -135,79 +148,68 @@ def zero_count_series(s: SpectralBeta, times):
     Raises InvariantViolationError if the count ever increases -- that would
     contradict the zero-number monotonicity of the flow.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or np.any(times <= 0.0) or np.any(np.diff(times) <= 0.0):
-        raise ValidationError("times must be strictly increasing and positive")
-    series = [(float(t), find_zeros(s, t).count) for t in times]
-    for (t0, z0), (t1, z1) in zip(series, series[1:]):
-        if z1 > z0:
-            raise InvariantViolationError(
-                f"zero count increased from {z0} at t={t0:g} to {z1} at t={t1:g}"
-            )
-    return series
+    return _monotone([(float(t), _count(s, t)) for t in _time_grid(times)])
 
 
-def _zero_count(s, t):
-    return find_zeros(s, t).count
+def report_series(s: SpectralBeta, times):
+    """find_zeros at every time of the grid, checked like zero_count_series."""
+    reports = [find_zeros(s, t) for t in _time_grid(times)]
+    _monotone([(r.t, r.count) for r in reports])
+    return reports
 
 
-def _refine_witness(s, u0, t0):
-    """Solve beta = d_u beta = 0 for (u, t) near the event estimate."""
-    scale = max(float(np.max(np.abs(evolve_beta(s, t0, _dense_grid(s))))), 1e-300)
+def _refine_witness(s, lo, hi):
+    """(u, t) with beta = d_u beta = 0 behind a count drop within [lo, hi].
 
-    def residual(x):
-        u, t = x
-        t = max(t, 1e-12)
-        return np.array([
-            float(evolve_beta(s, t, np.array([u]))[0]) / scale,
-            float(evolve_beta_derivative(s, t, np.array([u]))[0]) / scale,
-        ])
-
-    sol = least_squares(residual, x0=np.array([u0, t0]), xtol=1e-15, ftol=1e-15,
-                        gtol=1e-15)
-    u, t = sol.x
-    return float(np.mod(u, 2.0 * np.pi)), float(t)
+    Newton's method with the exact Jacobian [[d_u beta, d_t beta], [d_u^2 beta,
+    d_t d_u beta]] starts at the midpoint and the angle of the root pair that
+    left the circle at hi.  If it does not converge into the bracket (singular
+    Jacobian where three zeros merge at once), midpoint and angle stand."""
+    roots = _roots(_evolved(s, hi)[0])
+    gap = np.abs(np.abs(roots) - 1.0)
+    start = float(np.angle(roots[np.argmin(np.where(gap < UNIT_CIRCLE_TOL, np.inf, gap))]))
+    u, t = start, 0.5 * (lo + hi)
+    with np.errstate(all="ignore"):
+        for _ in range(12):
+            c, _ = _evolved(s, t)
+            b, bt, bu, btu, buu = _derivatives(c, [u], ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0)),
+                                               s.eigenvalues()[: c.shape[0]])[0]
+            det = bu * btu - bt * buu
+            du, dt = (bt * bu - b * btu) / det, (b * buu - bu * bu) / det
+            u, t = u + du, t + dt
+            if abs(du) < 1e-13 and abs(dt) < 1e-13 * max(1.0, t) and lo <= t <= hi:
+                return float(np.mod(u, 2.0 * np.pi)), float(t)
+    return start % (2.0 * np.pi), 0.5 * (lo + hi)
 
 
 def detect_strict_decrease(s: SpectralBeta, series):
     """Locate and certify every strict decrease in a zero-count series.
 
-    Each drop interval is bisected in t to EVENT_DT resolution; at the
-    refined event time a degenerate zero (beta = d_u beta = 0) is solved for
-    and reported as the witness.
+    Each drop interval is bisected in t to EVENT_DT resolution; the degenerate
+    zero solved for in the final bracket gives t_event and the witness.
     """
     events = []
     for (t_lo, z_lo), (t_hi, z_hi) in zip(series, series[1:]):
         cur_t, cur_z = t_lo, z_lo
         while cur_z > z_hi:
             lo, hi = cur_t, t_hi
-            z_ref = cur_z
             while hi - lo > EVENT_DT:
                 mid = 0.5 * (lo + hi)
-                if _zero_count(s, mid) < z_ref:
-                    hi = mid
-                else:
-                    lo = mid
-            t_event = 0.5 * (lo + hi)
-            z_after = _zero_count(s, hi)
-
-            # initial witness guess: most degenerate grid point just before
-            grid = _dense_grid(s)
-            vals = np.abs(evolve_beta(s, t_event, grid))
-            derivs = np.abs(evolve_beta_derivative(s, t_event, grid))
-            u0 = grid[np.argmin(np.hypot(vals, derivs))]
-            wu, wt = _refine_witness(s, u0, t_event)
-            scale = float(np.max(np.abs(evolve_beta(s, wt, grid))))
-            wbeta = float(evolve_beta(s, wt, np.array([wu]))[0])
-            wdbeta = float(evolve_beta_derivative(s, wt, np.array([wu]))[0])
-            events.append(DecreaseEvent(
-                interval=(float(t_lo), float(t_hi)),
-                t_event=float(t_event),
-                count_before=int(z_ref),
-                count_after=int(z_after),
-                witness_u=wu,
-                witness_beta=wbeta / scale,
-                witness_dbeta=wdbeta / scale,
-            ))
+                lo, hi = (lo, mid) if _count(s, mid) < cur_z else (mid, hi)
+            z_after = _count(s, hi)
+            # the count drops a little after the fold, at UNIT_CIRCLE_TOL off the circle
+            wu, t_event = _refine_witness(s, max(lo - EVENT_DT, t_lo), hi)
+            c, _ = _evolved(s, t_event)
+            wbeta, wdbeta = _derivatives(c, [wu], ((0, 0), (1, 0)))[0] / _sup(c)
+            events.append(DecreaseEvent((float(t_lo), float(t_hi)), float(t_event),
+                                        int(cur_z), int(z_after), wu,
+                                        float(wbeta), float(wdbeta)))
             cur_t, cur_z = hi, z_after
     return events
+
+
+def __getattr__(name):
+    # scipy names of the former root finder, imported on lookup (benchmark call counts)
+    if name in ("brentq", "least_squares"):
+        return getattr(__import__("scipy.optimize").optimize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

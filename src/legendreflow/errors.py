@@ -41,7 +41,3 @@ class ClassificationError(ValidationError):
 
 class InvariantViolationError(LegendreFlowError):
     """A mathematically guaranteed invariant failed during a verification run."""
-
-
-class DegenerateStateError(LegendreFlowError):
-    """beta(., t) vanished identically; zero counting is undefined."""

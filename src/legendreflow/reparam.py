@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .curves import LegendreCurve, angle_unwrap, curvature_from_samples, uniform_grid
 from .errors import ConvexityError, InconsistentNormalFieldError, ValidationError
@@ -112,6 +111,7 @@ def _invert_monotone(node_values, targets, derivative_nodes):
     Monotone-cubic interpolation of the table, linear-interp bracket guess,
     then Newton iterations (safeguarded by clipping into the bracket).
     """
+    from scipy.interpolate import PchipInterpolator
     v_nodes = np.linspace(0.0, 2.0 * np.pi, node_values.shape[0])
     table = PchipInterpolator(v_nodes, node_values)
     slope = PchipInterpolator(v_nodes, derivative_nodes)
@@ -126,6 +126,7 @@ def _invert_monotone(node_values, targets, derivative_nodes):
 
 
 def _periodic_component_spline(values):
+    from scipy.interpolate import CubicSpline
     num = values.shape[0]
     nodes = np.linspace(0.0, 2.0 * np.pi, num + 1)
     closed = np.concatenate([values, values[:1]])

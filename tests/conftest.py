@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from legendreflow.spectral import SpectralBeta
+from legendreflow.curves import uniform_grid
+from legendreflow.spectral import SpectralBeta, evolve_beta
 
 
 def random_closed_spectral(rng, max_index=3, max_truncation=8):
@@ -25,3 +26,36 @@ def random_closed_spectral(rng, max_index=3, max_truncation=8):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def grid_zero_count(s, t, num=16384):
+    """Independent z(t): sign changes of beta(., t) on a uniform grid, plus
+    exact grid zeros. Blind to tangential zeros and to two zeros in one cell,
+    so it serves as an oracle only where every zero has a clear slope."""
+    values = evolve_beta(s, t, uniform_grid(num))
+    return int(np.count_nonzero(values == 0.0)
+               + np.count_nonzero(values * np.roll(values, -1) < 0.0))
+
+
+def mode_derivative(s, u, t, du=0, dt=0):
+    """d_u^du d_t^dt beta(u, t) summed mode by mode in real form."""
+    k = np.arange(s.truncation + 1)
+    lam = s.eigenvalues()
+    weight = np.exp(lam * t) * lam**dt * k**du
+    phase = k * u + du * np.pi / 2
+    return float(np.sum(weight * (s.cos_coeffs * np.cos(phase)
+                                  + s.sin_coeffs * np.sin(phase))))
+
+
+def degenerate_zero_near(s, u, t, iterations=50):
+    """Solve beta = d_u beta = 0 for (u, t) by Newton's method from (u, t);
+    None when it does not converge."""
+    for _ in range(iterations):
+        jac = np.array([[mode_derivative(s, u, t, 1), mode_derivative(s, u, t, 0, 1)],
+                        [mode_derivative(s, u, t, 2), mode_derivative(s, u, t, 1, 1)]])
+        rhs = -np.array([mode_derivative(s, u, t), mode_derivative(s, u, t, 1)])
+        du, dt = np.linalg.solve(jac, rhs)
+        u, t = u + du, t + dt
+        if abs(du) < 1e-13 and abs(dt) < 1e-13 * max(1.0, abs(t)):
+            return u, t
+    return None

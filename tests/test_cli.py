@@ -1,10 +1,15 @@
 """End-to-end CLI runs: exit codes, artifacts, manifests, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import legendreflow
 from legendreflow.cli import main
 from legendreflow.curveio import (
     read_curve_csv,
@@ -174,3 +179,12 @@ class TestCurveIO:
     def test_svg_rejects_point(self):
         with pytest.raises(ValidationError):
             render_svg(np.zeros((10, 2)))
+
+
+def test_import_leaves_out_scipy_optimize():
+    # scipy.optimize alone costs about a third of a second of start-up
+    src = str(Path(legendreflow.__file__).resolve().parents[1])
+    code = "import sys, legendreflow.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"

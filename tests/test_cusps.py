@@ -1,10 +1,13 @@
 """Zero tracking, classification, monotone counts and decrease events."""
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_closed_spectral
+from conftest import degenerate_zero_near, grid_zero_count, random_closed_spectral
+from legendreflow.cli import main
 from legendreflow.cusps import (
     detect_strict_decrease,
     find_zeros,
@@ -36,6 +39,15 @@ class TestFindZeros:
         z = report.zeros[0]
         assert min(z.location, 2 * np.pi - z.location) < 1e-6
         assert z.kind == "degenerate"
+
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 5.0))
+    @settings(max_examples=60, deadline=None)
+    def test_count_matches_grid_oracle(self, seed, t):
+        s = random_closed_spectral(np.random.default_rng(seed))
+        report = find_zeros(s, t)
+        # the grid oracle cannot resolve near-tangential zeros
+        assume(all(abs(z.derivative) >= 1e-3 * report.scale for z in report.zeros))
+        assert report.count == grid_zero_count(s, t)
 
     def test_negative_time_rejected(self):
         s = SpectralBeta.from_modes(1, a0=1.0)
@@ -123,3 +135,40 @@ class TestDetectStrictDecrease:
         grid = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
         scale = np.max(np.abs(evolve_beta(s, event.t_event, grid)))
         assert abs(val) < 1e-4 * scale
+
+
+class TestLargeTime:
+    """beta(., t) = e^{-3t} cos 2u underflows for large t; its 4 zeros stay."""
+
+    @pytest.mark.parametrize("t", ["300", "800"])
+    def test_cli_reports_four_zeros(self, tmp_path, t):
+        code = main(["cusps", "--n", "1", "--mode", "2:1", "--times", t,
+                     "--outdir", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "cusp_report.json").read_text())
+        assert [entry["count"] for entry in report["series"]] == [4]
+        locs = [z["u"] for z in report["series"][0]["zeros"]]
+        assert np.max(np.abs(np.array(locs) - np.pi / 4 * np.array([1, 3, 5, 7]))) < 1e-12
+
+
+class TestWitnessRegressions:
+    """Random closed beta_0 (n <= 3, K <= 12) drawn from rng([20251006, index])
+    whose witness once stepped to t < 0 (2606), stopped at a local minimum of
+    the residual (2093) or belonged to another event (9)."""
+
+    @pytest.mark.parametrize("index", [2606, 2093, 9])
+    def test_every_witness_is_its_events_degenerate_zero(self, index):
+        rng = np.random.default_rng([20251006, index])
+        s = random_closed_spectral(rng, max_truncation=12)
+        series = zero_count_series(s, np.geomspace(0.01, 10.0, 30))
+        events = detect_strict_decrease(s, series)
+        assert sum(e.count_before - e.count_after for e in events) \
+            == series[0][1] - series[-1][1]
+        for event in events:
+            lo, hi = event.interval
+            assert lo < event.t_event < hi
+            assert abs(event.witness_beta) < 1e-6
+            assert abs(event.witness_dbeta) < 1e-6
+            star = degenerate_zero_near(s, event.witness_u, event.t_event)
+            assert star is not None
+            assert abs(star[1] - event.t_event) < 1e-4
