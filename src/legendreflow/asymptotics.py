@@ -16,8 +16,7 @@ import numpy as np
 
 from .curves import LegendreCurve
 from .errors import LegendreFlowError, ValidationError
-from .selfsimilar import SelfSimilarProfile, profile_position
-from .spectral import SpectralBeta, eigenvalue
+from .spectral import SpectralBeta, _displacement, _series, _spectrum, eigenvalue
 
 LEADING_TOL = 1e-12
 
@@ -38,40 +37,19 @@ def center_point(curve: LegendreCurve):
     return curve.positions.mean(axis=0)
 
 
+def _surviving(s: SpectralBeta):
+    """Mask over k = 0..K of the modes above LEADING_TOL times the largest coefficient."""
+    size = np.maximum(np.abs(s.cos_coeffs), np.abs(s.sin_coeffs))
+    return size > LEADING_TOL * size.max()
+
+
 def leading_mode(s: SpectralBeta):
     """(m, a_m, b_m) of the first surviving band; m = 0 iff a_0 != 0."""
-    coeff_scale = max(float(np.max(np.abs(s.cos_coeffs))),
-                      float(np.max(np.abs(s.sin_coeffs))))
-    threshold = LEADING_TOL * coeff_scale
-    if abs(s.a0) > threshold:
-        return 0, s.a0, 0.0
-    for k in range(1, s.truncation + 1):
-        ak, bk = float(s.cos_coeffs[k]), float(s.sin_coeffs[k])
-        if abs(ak) > threshold or abs(bk) > threshold:
-            return k, ak, bk
-    raise ValidationError("no surviving mode found")
-
-
-def _surviving_modes(s: SpectralBeta):
-    m0, a0, b0 = leading_mode(s)
-    coeff_scale = max(float(np.max(np.abs(s.cos_coeffs))),
-                      float(np.max(np.abs(s.sin_coeffs))))
-    threshold = LEADING_TOL * coeff_scale
-    modes = []
-    if abs(s.a0) > threshold:
-        modes.append((0, s.a0, 0.0))
-    for k in range(1, s.truncation + 1):
-        ak, bk = float(s.cos_coeffs[k]), float(s.sin_coeffs[k])
-        if abs(ak) > threshold or abs(bk) > threshold:
-            modes.append((k, ak, bk))
-    return modes
-
-
-def _mode_profile(n, k, ak, bk, u):
-    """Position profile of one beta mode (the k-mode's self-similar shape)."""
-    if k == 0:
-        return profile_position(SelfSimilarProfile(n=n, m=0, c1=ak, c2=0.0), u)
-    return profile_position(SelfSimilarProfile(n=n, m=k, c1=ak, c2=bk), u)
+    surviving = np.flatnonzero(_surviving(s))
+    if surviving.size == 0:
+        raise ValidationError("no surviving mode found")
+    m = int(surviving[0])
+    return m, float(s.cos_coeffs[m]), float(s.sin_coeffs[m])
 
 
 def scaled_error(s: SpectralBeta, initial_curve: LegendreCurve, t,
@@ -79,9 +57,11 @@ def scaled_error(s: SpectralBeta, initial_curve: LegendreCurve, t,
     """sup_u |(X(u,t) - p)/lambda*(t) - X*_{n,m,a_m,b_m}(u)|.
 
     Evaluated through the exact mode decomposition
-        X(u, t) - p = sum_k e^{lambda_k t} V_k(u),
-    so the sub-leading remainder is formed without the catastrophic
-    cancellation a direct large-t evaluation of X would suffer.
+        X(u, t) - p = sum_k e^{lambda_k t} V_k(u)/lambda_k,
+    V_k the flow displacement of mode k, so the sub-leading remainder is the
+    displacement with weights e^{(lambda_k - lambda_m) t}/lambda_k, formed
+    without the catastrophic cancellation a direct large-t evaluation of X
+    would suffer.
     """
     if t < 0:
         raise ValidationError(f"time must be >= 0, got {t}")
@@ -91,26 +71,22 @@ def scaled_error(s: SpectralBeta, initial_curve: LegendreCurve, t,
             "leading mode equals the rotation index; impossible for a closed "
             "curve (internal inconsistency)"
         )
-    u = np.linspace(0.0, 2.0 * np.pi, num_samples, endpoint=False)
     lam_m = eigenvalue(s.n, m)
-    remainder = np.zeros((num_samples, 2))
-    for k, ak, bk in _surviving_modes(s):
-        if k == m:
-            continue
-        remainder += np.exp((eigenvalue(s.n, k) - lam_m) * t) \
-            * _mode_profile(s.n, k, ak, bk, u)
+    keep = _surviving(s) & (s.eigenvalues() != 0.0)
+    keep[m] = False
+    remainder = _displacement(s, lambda lam: np.exp((lam - lam_m) * t) / lam,
+                              num_samples, keep=keep)
     return float(np.max(np.abs(remainder)))
 
 
 def predicted_decay_rate(s: SpectralBeta):
     """lambda_{k'} - lambda_m for the two leading surviving modes, or None."""
-    modes = _surviving_modes(s)
-    if len(modes) < 2:
+    surviving = np.flatnonzero(_surviving(s))
+    if surviving.size < 2:
         return None
-    m = modes[0][0]
+    lam = s.eigenvalues()
     # the slowest-decaying contaminant relative to the leading mode
-    gaps = [eigenvalue(s.n, k) - eigenvalue(s.n, m) for k, _, _ in modes[1:]]
-    return max(gaps)
+    return float(np.max(lam[surviving[1:]]) - lam[surviving[0]])
 
 
 def fit_decay_rate(s: SpectralBeta, initial_curve: LegendreCurve,
@@ -165,25 +141,11 @@ def derivative_gap_sup(s: SpectralBeta, t, order, num_samples=2048):
     """sup_u |d_u^i (beta - beta_leading)(u, t)| / lambda*(t).
 
     Used to evidence that the convergence holds at every derivative order:
-    each sub-leading mode just picks up a k^i factor.
+    each sub-leading mode just picks up an (ik)^i factor.
     """
     m, _, _ = leading_mode(s)
-    u = np.linspace(0.0, 2.0 * np.pi, num_samples, endpoint=False)
     lam_m = eigenvalue(s.n, m)
-    total = np.zeros(num_samples)
-    for k, ak, bk in _surviving_modes(s):
-        if k == m or k == 0:
-            continue
-        gap = np.exp((eigenvalue(s.n, k) - lam_m) * t) * float(k) ** order
-        phase = order % 4
-        cos_ku, sin_ku = np.cos(k * u), np.sin(k * u)
-        if phase == 0:
-            term = ak * cos_ku + bk * sin_ku
-        elif phase == 1:
-            term = -ak * sin_ku + bk * cos_ku
-        elif phase == 2:
-            term = -(ak * cos_ku + bk * sin_ku)
-        else:
-            term = ak * sin_ku - bk * cos_ku
-        total = total + gap * term
-    return float(np.max(np.abs(total)))
+    keep = _surviving(s)
+    keep[[0, m]] = False
+    gap = _spectrum(s, lambda lam: np.exp((lam - lam_m) * t), du=order, keep=keep)
+    return float(np.max(np.abs(_series(gap, num_samples))))

@@ -135,9 +135,7 @@ def _cmd_self_similar(config: RunConfig):
                 "cusp_count": selfsimilar.cusp_count(n, m),
                 "csv": paths[0].name, "svg": paths[1].name,
             })
-        index = outdir / "catalog.json"
-        index.write_text(json.dumps(rows, indent=2) + "\n")
-        outputs.append(index)
+        outputs.append(curveio.write_json(outdir / "catalog.json", rows))
         _emit_manifest(outdir, config, outputs)
         print(f"catalog of {len(rows)} profiles written to {outdir}")
         return 0
@@ -193,25 +191,24 @@ def _cmd_cusps(config: RunConfig):
     events = cusps.detect_strict_decrease(s, series)
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / "zero_counts.csv"
-    with csv_path.open("w") as fh:
-        fh.write("t,z,events\n")
-        for t, z in series:
-            inside = sum(1 for e in events if e.interval[0] <= t < e.interval[1])
-            fh.write(f"{t!r},{z},{inside}\n")
     report = [{"t": rep.t, "count": rep.count,
                "zeros": [{"u": z.location, "dbeta": z.derivative, "kind": z.kind}
                          for z in rep.zeros]}
               for rep in reports]
-    json_path = outdir / "cusp_report.json"
-    json_path.write_text(json.dumps({
+    json_path = curveio.write_json(outdir / "cusp_report.json", {
         "series": report,
         "events": [{"interval": e.interval, "t_event": e.t_event,
                     "drop": [e.count_before, e.count_after],
                     "witness": {"u": e.witness_u, "beta": e.witness_beta,
                                 "dbeta": e.witness_dbeta}}
                    for e in events],
-    }, indent=2) + "\n")
+    })
+    csv_path = outdir / "zero_counts.csv"
+    with csv_path.open("w") as fh:
+        fh.write("t,z,events\n")
+        for t, z in series:
+            inside = sum(1 for e in events if e.interval[0] <= t < e.interval[1])
+            fh.write(f"{t!r},{z},{inside}\n")
     _emit_manifest(outdir, config, [csv_path, json_path])
     print(f"z(t) over {len(series)} times, {len(events)} strict decrease(s)")
     return 0
@@ -225,20 +222,19 @@ def _cmd_converge(config: RunConfig):
     report = asymptotics.fit_decay_rate(s, curve0, times)
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / "scaled_error.csv"
-    with csv_path.open("w") as fh:
-        fh.write("t,scaled_error\n")
-        for t, e in report.errors:
-            fh.write(f"{t!r},{e!r}\n")
-    json_path = outdir / "convergence.json"
-    json_path.write_text(json.dumps({
+    json_path = curveio.write_json(outdir / "convergence.json", {
         "leading_mode": report.leading_mode,
         "center": list(map(float, report.center)),
         "fitted_rate": report.fitted_rate,
         "predicted_rate": report.predicted_rate,
         "exactly_self_similar": report.exactly_self_similar,
         "envelope_bounded": report.envelope_bounded,
-    }, indent=2) + "\n")
+    })
+    csv_path = outdir / "scaled_error.csv"
+    with csv_path.open("w") as fh:
+        fh.write("t,scaled_error\n")
+        for t, e in report.errors:
+            fh.write(f"{t!r},{e!r}\n")
     _emit_manifest(outdir, config, [csv_path, json_path])
     if report.exactly_self_similar:
         print("input is exactly self-similar; no rate to fit")
@@ -290,8 +286,7 @@ def _cmd_oracle_check(config: RunConfig):
         })
     else:
         raise ValidationError(f"unknown equation {config.equation!r}")
-    json_path = outdir / "oracle_check.json"
-    json_path.write_text(json.dumps(result, indent=2) + "\n")
+    json_path = curveio.write_json(outdir / "oracle_check.json", result)
     _emit_manifest(outdir, config, [json_path])
     print(json.dumps(result, indent=2))
     if result.get("order_ok") is False or result.get("gradient_bounds_ok") is False:
@@ -422,7 +417,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-        return _COMMANDS[args.command](config)
+        # overflow shows as a non-finite value, which the writers refuse
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](config)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,15 +15,33 @@ from pathlib import Path
 import numpy as np
 
 from .curves import LegendreCurve, uniform_grid
-from .errors import ValidationError
+from .errors import InvariantViolationError, ValidationError
 
 
 def _fmt(x):
     return repr(float(x))
 
 
+def write_json(path, data, sort_keys=False):
+    """Indented JSON document; refuses NaN and infinities before touching path."""
+    path = Path(path)
+    try:
+        text = json.dumps(data, indent=2, sort_keys=sort_keys, allow_nan=False)
+    except ValueError as exc:
+        raise InvariantViolationError(f"{path.name}: non-finite value, not written") from exc
+    path.write_text(text + "\n")
+    return path
+
+
 def write_curve_csv(path, curve: LegendreCurve, curvature=None, t=None):
     path = Path(path)
+    columns = [curve.positions, curve.normals]
+    if curvature is not None:
+        columns += [curvature.beta, curvature.ell]
+    if t is not None:
+        columns.append(t)
+    if not all(np.isfinite(c).all() for c in columns):
+        raise InvariantViolationError(f"{path.name}: non-finite samples, not written")
     header = ["u", "x", "y", "nu_x", "nu_y"]
     if curvature is not None:
         header += ["beta", "ell"]
@@ -135,6 +153,4 @@ def write_manifest(path, config, outputs, version):
         "config": config,
         "outputs": {str(Path(p).name): sha256_of(p) for p in outputs},
     }
-    path = Path(path)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json(path, manifest, sort_keys=True)

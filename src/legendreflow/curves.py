@@ -224,12 +224,12 @@ def residual_geometric_equations(flow, t, n, num_samples=512):
     Both vanish identically for the exact solution; the returned values are
     pure floating-point noise.
     """
-    from .spectral import evolve_beta, evolve_beta_time_derivative, evolve_beta_derivative
+    from .spectral import evolve_beta
 
     u = uniform_grid(num_samples)
     beta = evolve_beta(flow, t, u)
-    beta_t = evolve_beta_time_derivative(flow, t, u)
-    beta_uu = evolve_beta_derivative(flow, t, u, order=2)
+    beta_t = evolve_beta(flow, t, u, dt=1)
+    beta_uu = evolve_beta(flow, t, u, du=2)
     flow_res = np.max(np.abs(beta_t - (beta_uu / n**2 + beta)))
     # N l + d_u T with N = beta/l, T = d_u beta / l^2 and l == n
     d_u_T = beta_uu / n**2

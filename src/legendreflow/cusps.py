@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolationError, ValidationError
-from .spectral import SpectralBeta
+from .spectral import SpectralBeta, _series
 
 DERIVATIVE_THRESHOLD = 1e-8     # relative: simple cusp iff |d_u beta| > thr * scale
 # A simple zero's root lies on |z| = 1 to rounding; a double root splits into
@@ -75,13 +75,12 @@ def _derivatives(c, u, orders, lam=None):
     """Columns d_u^p d_t^q beta(u) = Re sum_k c_k (ik)^p lambda_k^q e^{iku}, (p, q) in orders."""
     k = np.arange(c.shape[0])
     weights = np.stack([c * (1j * k) ** p * (lam ** q if q else 1.0) for p, q in orders], 1)
-    return np.real(np.exp(1j * np.multiply.outer(np.asarray(u, dtype=float), k)) @ weights)
+    return _series(weights, np.asarray(u, dtype=float))
 
 
 def _sup(c):
     """sup |Re sum_k c_k e^{iku}| on a uniform grid, by one inverse FFT."""
-    half = np.concatenate([c[:1].real, 0.5 * c[1:]])
-    return float(np.max(np.abs(np.fft.irfft(half, max(2048, 32 * c.shape[0]), norm="forward"))))
+    return float(np.max(np.abs(_series(c, max(2048, 32 * c.shape[0])))))
 
 
 def _roots(c):

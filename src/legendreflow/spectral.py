@@ -15,6 +15,17 @@ b_k = (1/pi) int beta_0 sin(ku), so that the synthesis
     beta_0(u) = a_0 + sum_k a_k cos(ku) + b_k sin(ku)
 
 is an identity for band-limited data.
+
+Every evaluation runs on one mode-space kernel.  _spectrum forms the
+coefficients c_k = (a_k - i b_k) (ik)^p lambda_k^q w(lambda_k), so that
+d_u^p d_t^q of sum_k w(lambda_k) beta_k is Re sum_k c_k e^{iku}
+(w = e^{lambda t} for beta itself).  _synthesize sums such a series at
+arbitrary points by one complex-exponential matmul, or on the uniform grid
+u_j = 2 pi j/N by one inverse FFT: e^{i p u_j} depends on p mod N only, so
+folding the coefficients into those N bins is exact for any truncation K,
+K >= N/2 included.  With mu = e^{inu} as a complex number, both X - X_0 =
+e^{inu} (B'/n^2 - i B/n) (B the growth-weighted beta_0) and int_0^u beta_0 mu
+are series in the frequencies n + k, k = -K..K, so each is one grid sum.
 """
 
 from __future__ import annotations
@@ -149,93 +160,83 @@ def synthesize_beta(s: SpectralBeta, u):
 def truncation_residual(s: SpectralBeta, beta0):
     """sup-norm mismatch between beta_0 samples and the truncated synthesis."""
     beta0 = np.asarray(beta0, dtype=float)
-    u = uniform_grid(beta0.shape[0])
-    return float(np.max(np.abs(beta0 - synthesize_beta(s, u))))
+    return float(np.max(np.abs(beta0 - _beta(s, 0.0, beta0.shape[0]))))
 
 
-def _mode_tables(s: SpectralBeta, u):
-    u = np.asarray(u, dtype=float)
-    k = np.arange(1, s.truncation + 1)
-    ku = np.multiply.outer(k, u)
-    return k, np.cos(ku), np.sin(ku)
+def _spectrum(s: SpectralBeta, weight, du=0, dt=0, keep=True):
+    """c_k = (a_k - i b_k) (ik)^du lambda_k^dt weight(lambda_k) for k = 0..K, so
+    that Re sum_k c_k e^{iku} is d_u^du d_t^dt of sum_k weight(lambda_k) beta_k.
+
+    weight sees only the lambda of the nonzero terms (those not masked off by
+    keep): a vanishing term stays exactly zero, never 0 * inf.
+    """
+    k = np.arange(s.truncation + 1)
+    lam = s.eigenvalues()
+    c = (s.cos_coeffs - 1j * s.sin_coeffs) * ((1j * k) ** du if du else 1.0) \
+        * lam**dt * keep
+    live = c != 0.0
+    c[live] *= weight(lam[live])
+    return c
 
 
-def evolve_beta(s: SpectralBeta, t, u):
-    """beta(u, t) = e^t a_0 + sum_k e^{lambda_k t} (a_k cos ku + b_k sin ku)."""
+def _synthesize(p, d, u):
+    """sum_j d_j e^{i p_j u} for a column or a stack of columns d.
+
+    u is either an array of points (one complex-exponential matmul) or an int
+    N for the uniform grid u_m = 2 pi m / N.  There e^{i p u_m} depends on p
+    mod N only, so folding d into those N bins and taking one inverse FFT is
+    exact for any frequencies, K >= N/2 included, and needs O(N) memory.
+    """
+    if isinstance(u, (int, np.integer)):
+        bins = np.zeros((u,) + d.shape[1:], dtype=complex)
+        np.add.at(bins, np.mod(p, u), d)
+        return np.fft.ifft(bins, axis=0, norm="forward")
+    return np.exp(1j * np.multiply.outer(u, p)) @ d
+
+
+def _series(c, u):
+    """Re sum_k c_k e^{iku} over k = 0..K, per column of c (see _synthesize for u)."""
+    return np.real(_synthesize(np.arange(c.shape[0]), c, u))
+
+
+def _beta(s: SpectralBeta, t, u, du=0, dt=0):
+    return _series(_spectrum(s, lambda lam: np.exp(lam * t), du, dt), u)
+
+
+def evolve_beta(s: SpectralBeta, t, u, du=0, dt=0):
+    """d_u^du d_t^dt beta(u, t), beta = sum_k e^{lambda_k t} (a_k cos ku + b_k sin ku),
+    exact mode-wise: mode k picks up (ik)^du lambda_k^dt."""
     if t < 0:
         raise ValidationError(f"time must be >= 0, got {t}")
-    u = np.asarray(u, dtype=float)
-    k, cos_ku, sin_ku = _mode_tables(s, u)
-    growth = np.exp(eigenvalue(s.n, k) * t)
-    out = np.exp(t) * s.a0 * np.ones_like(u)
-    out += (growth * s.cos_coeffs[1:]) @ cos_ku
-    out += (growth * s.sin_coeffs[1:]) @ sin_ku
-    return out
+    return _beta(s, t, np.asarray(u, dtype=float), du, dt)
 
 
-def evolve_beta_derivative(s: SpectralBeta, t, u, order=1):
-    """order-th u-derivative of beta(., t), exact mode-wise."""
-    u = np.asarray(u, dtype=float)
-    k, cos_ku, sin_ku = _mode_tables(s, u)
-    growth = np.exp(eigenvalue(s.n, k) * t) * k**order
-    quarter = order % 4
-    if quarter == 0:
-        ca, cb = cos_ku, sin_ku
-    elif quarter == 1:
-        ca, cb = -sin_ku, cos_ku
-    elif quarter == 2:
-        ca, cb = -cos_ku, -sin_ku
-    else:
-        ca, cb = sin_ku, -cos_ku
-    out = (growth * s.cos_coeffs[1:]) @ ca
-    out += (growth * s.sin_coeffs[1:]) @ cb
-    return out
+def _shifted(s: SpectralBeta, c):
+    """(p, h) with e^{inu} Re sum_k c_k e^{iku} = sum_j h_j e^{i p_j u}: the
+    frequencies p = n + k for k = -K..K, h_{+-k} = c_k/2 or its conjugate."""
+    k = np.arange(c.shape[0])
+    p = np.concatenate([s.n + k, s.n - k[1:]])
+    return p, np.concatenate([c[:1].real, 0.5 * c[1:], 0.5 * np.conj(c[1:])])
 
 
-def evolve_beta_time_derivative(s: SpectralBeta, t, u):
-    """d_t beta, analytic: each mode picks up a lambda_k factor."""
-    u = np.asarray(u, dtype=float)
-    k, cos_ku, sin_ku = _mode_tables(s, u)
-    lam = eigenvalue(s.n, k)
-    growth = lam * np.exp(lam * t)
-    out = np.exp(t) * s.a0 * np.ones_like(u)
-    out += (growth * s.cos_coeffs[1:]) @ cos_ku
-    out += (growth * s.sin_coeffs[1:]) @ sin_ku
-    return out
+def _increment(s: SpectralBeta, u):
+    """int_0^u beta_0(v) mu(v) dv at the points u, or on the uniform grid of
+    u points for an int u (see _synthesize).
 
-
-def _sin_over(p, u):
-    """Antiderivative kernel: int_0^u cos(p v) dv = sin(pu)/p, or u at p = 0."""
-    if p == 0:
-        return np.asarray(u, dtype=float).copy()
-    return np.sin(p * u) / p
-
-
-def _one_minus_cos_over(p, u):
-    """Antiderivative kernel: int_0^u sin(p v) dv = (1 - cos(pu))/p, or 0 at p = 0."""
-    if p == 0:
-        return np.zeros_like(np.asarray(u, dtype=float))
-    return (1.0 - np.cos(p * u)) / p
+    As x + iy, beta_0 e^{inv} = sum_p h_p e^{ipv}; each p != 0 integrates to
+    h_p (e^{ipu} - 1)/(ip), and p = 0 (the n band, |a_n| <= 1e-10 is
+    admitted) to h_0 u.
+    """
+    p, h = _shifted(s, s.cos_coeffs - 1j * s.sin_coeffs)
+    w = np.divide(h, 1j * p, out=np.zeros_like(h), where=p != 0)
+    points = uniform_grid(u) if isinstance(u, (int, np.integer)) else u
+    z = _synthesize(p, w, u) - np.sum(w) + np.sum(h[p == 0]) * points
+    return np.stack([z.real, z.imag], axis=-1)
 
 
 def position_increment(s: SpectralBeta, u):
-    """int_0^u beta_0(v) mu(v) dv with mu = (cos nv, sin nv), mode-exact.
-
-    Every product of trig functions is expanded by product-to-sum before
-    integrating, so the result is exact up to rounding.
-    """
-    u = np.asarray(u, dtype=float)
-    n = s.n
-    x = s.a0 * _sin_over(n, u)
-    y = s.a0 * _one_minus_cos_over(n, u)
-    for k, ak, bk in s.modes:
-        if ak != 0.0:
-            x = x + 0.5 * ak * (_sin_over(k + n, u) + _sin_over(k - n, u))
-            y = y + 0.5 * ak * (_one_minus_cos_over(n + k, u) + _one_minus_cos_over(n - k, u))
-        if bk != 0.0:
-            x = x + 0.5 * bk * (_one_minus_cos_over(k + n, u) + _one_minus_cos_over(k - n, u))
-            y = y + 0.5 * bk * (_sin_over(k - n, u) - _sin_over(k + n, u))
-    return np.stack([x, y], axis=-1)
+    """int_0^u beta_0(v) mu(v) dv with mu = (cos nv, sin nv), mode-exact."""
+    return _increment(s, np.asarray(u, dtype=float))
 
 
 def reconstruct_initial_curve(s: SpectralBeta, base_point=(0.0, 0.0), num_samples=512):
@@ -247,7 +248,7 @@ def reconstruct_initial_curve(s: SpectralBeta, base_point=(0.0, 0.0), num_sample
             "trace a closed curve"
         )
     u = uniform_grid(num_samples)
-    positions = np.asarray(base_point, dtype=float) + position_increment(s, u)
+    positions = np.asarray(base_point, dtype=float) + _increment(s, num_samples)
     normals = np.stack([np.sin(s.n * u), -np.cos(s.n * u)], axis=-1)
     return LegendreCurve(positions=positions, normals=normals)
 
@@ -293,6 +294,19 @@ def growth_factor(lam, t):
     return out
 
 
+def _displacement(s: SpectralBeta, weight, num, keep=True):
+    """sum_k w_k [beta_k nu/n + d_u beta_k mu/n^2] on the uniform num-point grid,
+    w_k = weight(lambda_k) and beta_k the k-th mode of beta_0.
+
+    With mu = e^{inu} and nu = -i e^{inu} as complex numbers this is
+    e^{inu} (B'/n^2 - i B/n) for B = sum_k w_k beta_k; with B = sum_k h_k e^{iku}
+    over k = -K..K it is sum_k h_k i (k - n)/n^2 e^{i(n + k)u}, one grid sum.
+    """
+    p, h = _shifted(s, _spectrum(s, weight, keep=keep))
+    z = _synthesize(p, 1j * (p - 2 * s.n) / s.n**2 * h, num)
+    return np.stack([z.real, z.imag], axis=-1)
+
+
 def evolve_curve(s: SpectralBeta, initial_curve: LegendreCurve, t,
                  consistency_tol=1e-8) -> FlowState:
     """Closed-form flow position at time t.
@@ -303,12 +317,14 @@ def evolve_curve(s: SpectralBeta, initial_curve: LegendreCurve, t,
     """
     if t < 0:
         raise ValidationError(f"time must be >= 0, got {t}")
+    num = initial_curve.grid_size
     u = initial_curve.grid
     n = s.n
-    nu = np.stack([np.sin(n * u), -np.cos(n * u)], axis=-1)
-    mu = np.stack([np.cos(n * u), np.sin(n * u)], axis=-1)
+    cos_nu, sin_nu = np.cos(n * u), np.sin(n * u)
+    nu = np.stack([sin_nu, -cos_nu], axis=-1)
+    mu = np.stack([cos_nu, sin_nu], axis=-1)
 
-    beta0 = synthesize_beta(s, u)
+    beta0 = _beta(s, 0.0, num)
     dX = spectral_derivative(initial_curve.positions)
     scale = max(1.0, float(np.max(np.abs(beta0))))
     mismatch = np.max(np.abs(dX - beta0[:, None] * mu))
@@ -318,15 +334,8 @@ def evolve_curve(s: SpectralBeta, initial_curve: LegendreCurve, t,
             f"max |d_u X0 - beta_0 mu| = {mismatch:g}"
         )
 
-    displacement = growth_factor(eigenvalue(n, 0), t) * (s.a0 / n) * nu
-    for k, ak, bk in s.modes:
-        g = growth_factor(eigenvalue(n, k), t)
-        mode = ak * np.cos(k * u) + bk * np.sin(k * u)
-        mode_du = k * (-ak * np.sin(k * u) + bk * np.cos(k * u))
-        displacement = displacement + g * (mode[:, None] * nu / n
-                                           + mode_du[:, None] * mu / n**2)
-    positions = initial_curve.positions + displacement
+    positions = initial_curve.positions \
+        + _displacement(s, lambda lam: growth_factor(lam, t), num)
     curve = LegendreCurve(positions=positions, normals=nu)
-    curvature = LegendreCurvature(ell=np.full(u.shape[0], float(n)),
-                                  beta=evolve_beta(s, t, u))
+    curvature = LegendreCurvature(ell=np.full(num, float(n)), beta=_beta(s, t, num))
     return FlowState(t=float(t), curve=curve, curvature=curvature)

@@ -59,3 +59,40 @@ def degenerate_zero_near(s, u, t, iterations=50):
         if abs(du) < 1e-13 and abs(dt) < 1e-13 * max(1.0, abs(t)):
             return u, t
     return None
+
+
+def per_mode_evolve_curve(s, positions, t):
+    """X(u, t) summed mode by mode with two trig tables per mode: the original
+    closed form X_0 + sum_k g_k(t) [beta_k nu/n + d_u beta_k mu/n^2]."""
+    n = s.n
+    u = uniform_grid(positions.shape[0])
+    nu = np.stack([np.sin(n * u), -np.cos(n * u)], axis=-1)
+    mu = np.stack([np.cos(n * u), np.sin(n * u)], axis=-1)
+    out = positions + np.expm1(t) * (s.a0 / n) * nu
+    for k, ak, bk in s.modes:
+        lam = 1.0 - k * k / (n * n)
+        g = t if lam == 0.0 else np.expm1(lam * t) / lam
+        mode = ak * np.cos(k * u) + bk * np.sin(k * u)
+        mode_du = k * (-ak * np.sin(k * u) + bk * np.cos(k * u))
+        out = out + g * (mode[:, None] * nu / n + mode_du[:, None] * mu / n**2)
+    return out
+
+
+def per_mode_scaled_error(s, t, num=1024):
+    """sup |sum_k e^{(lambda_k - lambda_m) t} X*_k| over the surviving modes
+    k != m (and k != n), each X*_k the closed-form self-similar profile."""
+    from legendreflow.asymptotics import LEADING_TOL, leading_mode
+    from legendreflow.selfsimilar import SelfSimilarProfile, profile_position
+
+    m, _, _ = leading_mode(s)
+    lam = s.eigenvalues()
+    size = np.maximum(np.abs(s.cos_coeffs), np.abs(s.sin_coeffs))
+    u = uniform_grid(num)
+    total = np.zeros((num, 2))
+    for k in np.flatnonzero(size > LEADING_TOL * size.max()):
+        if k in (m, s.n):
+            continue
+        ak, bk = float(s.cos_coeffs[k]), float(s.sin_coeffs[k])
+        profile = SelfSimilarProfile(n=s.n, m=int(k), c1=ak, c2=bk)
+        total += np.exp((lam[k] - lam[m]) * t) * profile_position(profile, u)
+    return float(np.max(np.abs(total)))

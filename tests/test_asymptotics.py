@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import per_mode_scaled_error, random_closed_spectral
+
 from legendreflow.asymptotics import (
     center_point,
     derivative_gap_sup,
@@ -82,6 +84,14 @@ class TestScaledError:
         naive = np.max(np.abs(
             (state.curve.positions - p) / np.exp(-3.0 * t) - target))
         assert abs(scaled_error(s, curve, t, num_samples=2048) - naive) < 1e-9
+
+    def test_matches_per_mode_profile_sum(self, rng):
+        for _ in range(10):
+            s = random_closed_spectral(rng, max_truncation=12)
+            curve = reconstruct_initial_curve(s, num_samples=256)
+            for t in (0.0, 0.5, 3.0):
+                expected = per_mode_scaled_error(s, t, 1024)
+                assert abs(scaled_error(s, curve, t) - expected) <= 1e-12 * max(1.0, expected)
 
     def test_small_by_t_eight(self):
         s, curve = two_mode_data()

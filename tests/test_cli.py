@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,10 @@ from legendreflow.curveio import (
     render_svg,
     sha256_of,
     write_curve_csv,
+    write_json,
 )
-from legendreflow.curves import LegendreCurve, uniform_grid
-from legendreflow.errors import ValidationError
+from legendreflow.curves import LegendreCurvature, LegendreCurve, uniform_grid
+from legendreflow.errors import InvariantViolationError, ValidationError
 from legendreflow.spectral import SpectralBeta, reconstruct_centered_curve
 
 
@@ -179,6 +181,40 @@ class TestCurveIO:
     def test_svg_rejects_point(self):
         with pytest.raises(ValidationError):
             render_svg(np.zeros((10, 2)))
+
+
+class TestNonFiniteOutput:
+    """Overflow ends in exit code 3 with no file, no traceback and no warning."""
+
+    @pytest.mark.parametrize("argv", [
+        # lambda_1 = 3/4 for n = 2: e^{750} overflows, the positions turn NaN
+        ["simulate", "--n", "2", "--mode", "1:1", "--times", "1000"],
+        # e^{711} times the scaled slope overflows to an infinite dbeta
+        ["cusps", "--n", "3", "--mode", "1:1", "--times", "800"],
+    ], ids=["simulate", "cusps"])
+    def test_refused_with_exit_3(self, tmp_path, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv + ["--outdir", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation:") and "Traceback" not in err
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+    def test_json_writer_refuses_nan(self, tmp_path):
+        with pytest.raises(InvariantViolationError):
+            write_json(tmp_path / "x.json", {"a": [1.0, float("inf")]})
+        assert not (tmp_path / "x.json").exists()
+
+    def test_csv_writer_refuses_nan(self, tmp_path):
+        s = SpectralBeta.from_modes(1, modes={2: (1.0, -0.3)})
+        curve = reconstruct_centered_curve(s, 16)
+        beta = np.full(16, np.nan)
+        with pytest.raises(InvariantViolationError):
+            write_curve_csv(tmp_path / "c.csv", curve, LegendreCurvature(np.ones(16), beta))
+        with pytest.raises(InvariantViolationError):
+            write_curve_csv(tmp_path / "c.csv", curve, t=float("nan"))
+        assert not (tmp_path / "c.csv").exists()
 
 
 def test_import_leaves_out_scipy_optimize():

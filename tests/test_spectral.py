@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_closed_spectral
+from conftest import mode_derivative, per_mode_evolve_curve, random_closed_spectral
 from legendreflow.curves import check_closure, uniform_grid
 from legendreflow.errors import NotClosedError, PointCurveError, ValidationError
 from legendreflow.spectral import (
     SpectralBeta,
+    _beta,
+    _increment,
+    _spectrum,
+    _synthesize,
     analyze_beta,
     eigenvalue,
     evolve_beta,
     evolve_curve,
+    position_increment,
     reconstruct_centered_curve,
     reconstruct_initial_curve,
     spectral_derivative,
@@ -124,6 +129,43 @@ class TestEvolveBeta:
         with pytest.raises(ValidationError):
             evolve_beta(s, -0.1, np.array([0.0]))
 
+    @pytest.mark.parametrize("du", [1, 2, 3])
+    def test_u_derivative_matches_mode_sum(self, rng, du):
+        for _ in range(5):
+            s = random_closed_spectral(rng)
+            u = uniform_grid(32)
+            expected = [mode_derivative(s, v, 0.4, du) for v in u]
+            scale = np.sum(np.abs(np.hypot(s.cos_coeffs, s.sin_coeffs))
+                           * np.arange(s.truncation + 1) ** du)
+            assert np.max(np.abs(evolve_beta(s, 0.4, u, du=du) - expected)) < 1e-13 * scale
+
+    def test_time_derivative_matches_mode_sum(self, rng):
+        for _ in range(5):
+            s = random_closed_spectral(rng)
+            u = uniform_grid(32)
+            expected = [mode_derivative(s, v, 0.4, 0, 1) for v in u]
+            assert np.max(np.abs(evolve_beta(s, 0.4, u, dt=1) - expected)) < 1e-12
+
+    def test_time_derivative_is_the_flow(self, rng):
+        # d_t beta = d_uu beta / n^2 + beta, mode by mode
+        s = random_closed_spectral(rng)
+        u = uniform_grid(128)
+        rhs = evolve_beta(s, 0.3, u, du=2) / s.n**2 + evolve_beta(s, 0.3, u)
+        assert np.max(np.abs(evolve_beta(s, 0.3, u, dt=1) - rhs)) < 1e-11
+
+    def test_mixed_derivative(self):
+        # d_t d_u of e^{-3t} sin 2u is -6 e^{-3t} cos 2u
+        s = SpectralBeta.from_modes(1, modes={2: (0.0, 1.0)})
+        u = uniform_grid(16)
+        expected = -6.0 * np.exp(-3.0) * np.cos(2 * u)
+        assert np.max(np.abs(evolve_beta(s, 1.0, u, du=1, dt=1) - expected)) < 1e-14
+
+    def test_absent_mean_mode_stays_finite_at_large_time(self):
+        # e^{800} overflows; the absent a_0 must contribute 0, not inf * 0
+        s = SpectralBeta.from_modes(1, modes={2: (1.0, 0.0)})
+        values = evolve_beta(s, 800.0, uniform_grid(8))
+        assert np.all(np.isfinite(values))
+
     @given(st.integers(0, 2**32 - 1), st.floats(0.05, 2.0), st.floats(0.05, 2.0))
     @settings(max_examples=25, deadline=None)
     def test_semigroup_property(self, seed, t1, t2):
@@ -225,6 +267,16 @@ class TestEvolveCurve:
                 scale = max(1.0, np.max(np.abs(dX)))
                 assert np.max(np.abs(np.sum(dX * nu, axis=1))) < 1e-9 * scale
 
+    def test_matches_per_mode_sum(self, rng):
+        for _ in range(5):
+            s = random_closed_spectral(rng, max_truncation=12)
+            curve = reconstruct_initial_curve(s, base_point=(0.2, -0.4), num_samples=256)
+            for t in (0.0, 0.3, 2.0):
+                expected = per_mode_evolve_curve(s, curve.positions, t)
+                got = evolve_curve(s, curve, t).curve.positions
+                scale = max(1.0, np.max(np.abs(expected)))
+                assert np.max(np.abs(got - expected)) < 1e-12 * scale
+
     def test_centroid_conserved(self, rng):
         for _ in range(5):
             s = random_closed_spectral(rng)
@@ -235,6 +287,65 @@ class TestEvolveCurve:
                 state = evolve_curve(s, curve, t)
                 p = state.curve.positions.mean(axis=0)
                 assert np.max(np.abs(p - p0)) < 1e-9
+
+
+class TestKernel:
+    """Grid synthesis (one inverse FFT) against point synthesis (one matmul)."""
+
+    @staticmethod
+    def draw(seed, top, n, band):
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=top + 1), rng.normal(size=top + 1)
+        b[0] = 0.0
+        a[n], b[n] = band, -band
+        return SpectralBeta(n=n, cos_coeffs=a, sin_coeffs=b)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 64), st.floats(0.0, 2.0),
+           st.integers(1, 3), st.sampled_from([5e-11, -5e-11]),
+           st.integers(0, 3), st.integers(0, 1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_beta_grid_equals_points(self, seed, num, t, n, band, du, dt, data):
+        top = data.draw(st.integers(n, 2 * num))
+        s = self.draw(seed, top, n, band)
+        grid = _beta(s, t, num, du, dt)
+        points = evolve_beta(s, t, uniform_grid(num), du=du, dt=dt)
+        scale = np.sum(np.abs(_spectrum(s, lambda lam: np.exp(lam * t), du, dt)))
+        assert np.max(np.abs(grid - points)) <= 1e-13 * scale
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 64), st.integers(1, 3),
+           st.sampled_from([5e-11, -5e-11]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_increment_grid_equals_points(self, seed, num, n, band, data):
+        top = data.draw(st.integers(n, 2 * num))
+        s = self.draw(seed, top, n, band)
+        grid = _increment(s, num)
+        points = position_increment(s, uniform_grid(num))
+        scale = np.sum(np.hypot(s.cos_coeffs, s.sin_coeffs)) * 2.0 * np.pi
+        assert np.max(np.abs(grid - points)) <= 1e-13 * scale
+
+    def test_folded_frequencies_alias_exactly(self):
+        # on 8 points e^{i 11 u} and e^{i 3 u} coincide, and so do e^{-5iu} and e^{3iu};
+        # the point path rounds 11 u, so it agrees to about 11 * 2 pi * eps
+        p = np.array([11, -5, 0])
+        d = np.array([1.0 + 2.0j, -0.5j, 0.25])
+        assert np.max(np.abs(_synthesize(p, d, 8) - _synthesize(p, d, uniform_grid(8)))) < 1e-13
+        folded = _synthesize(np.array([3, 0]), np.array([1.0 + 1.5j, 0.25]), 8)
+        assert np.max(np.abs(_synthesize(p, d, 8) - folded)) < 1e-15
+
+    def test_stacked_columns(self):
+        p = np.arange(4)
+        d = np.arange(8.0).reshape(4, 2) * (1 + 1j)
+        u = uniform_grid(16)
+        stacked = _synthesize(p, d, u)
+        for col in range(2):
+            assert np.max(np.abs(stacked[:, col] - _synthesize(p, d[:, col], u))) < 1e-13
+            assert np.max(np.abs(_synthesize(p, d, 16)[:, col] - stacked[:, col])) < 1e-13
+
+    def test_n_band_integrates_linearly(self):
+        # beta_0 = a_n cos nu with a_n = 5e-11: int_0^u a_n cos^2 nv dv has the drift a_n u / 2
+        s = SpectralBeta.from_modes(2, modes={2: (5e-11, 0.0)})
+        u = np.array([np.pi, 2.0 * np.pi])
+        assert np.max(np.abs(position_increment(s, u)[:, 0] - 2.5e-11 * u)) < 1e-25
 
 
 class TestSpectralDerivative:
