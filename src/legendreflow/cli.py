@@ -43,6 +43,10 @@ class RunConfig:
     final_time: float = 0.25
 
     def validate(self):
+        numbers = [*self.times, self.a0, self.c1 or 0.0, self.c2, self.dt, self.final_time,
+                   *(c for pair in self.modes.values() for c in pair)]
+        if not np.all(np.isfinite(numbers)):
+            raise ValidationError("times, coefficients, dt and T must be finite")
         if self.times and (any(t < 0 for t in self.times)
                            or any(b <= a for a, b in zip(self.times, self.times[1:]))):
             raise ValidationError("times must be non-negative and strictly increasing")
@@ -104,15 +108,15 @@ def _cmd_simulate(config: RunConfig):
     s, curve0 = _spectral_from_config(config)
     if curve0 is None:
         curve0 = spectral.reconstruct_centered_curve(s, config.samples)
+    states = [spectral.evolve_curve(s, curve0, t) for t in config.times or [0.0]]
+    # refuse before the first file is written, so a refusal leaves no snapshot
+    for state in states:
+        curveio.check_finite(f"flow at t = {state.t!r}", state.curve, state.curvature, state.t)
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    times = config.times or [0.0]
-    outputs = []
-    for idx, t in enumerate(times):
-        state = spectral.evolve_curve(s, curve0, t)
-        path = outdir / f"flow_{idx:03d}.csv"
-        curveio.write_curve_csv(path, state.curve, state.curvature, t=t)
-        outputs.append(path)
+    outputs = [curveio.write_curve_csv(outdir / f"flow_{idx:03d}.csv", state.curve,
+                                       state.curvature, t=state.t)
+               for idx, state in enumerate(states)]
     manifest = _emit_manifest(outdir, config, outputs)
     print(f"wrote {len(outputs)} snapshots and {manifest}")
     return 0
@@ -245,12 +249,11 @@ def _cmd_converge(config: RunConfig):
 
 
 def _cmd_oracle_check(config: RunConfig):
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     grid = fd.FDGrid(num_points=config.samples, dt=config.dt, scheme=config.scheme)
-    result = {"equation": config.equation, "scheme": config.scheme,
+    result = {"equation": config.equation,
               "N": config.samples, "dt": config.dt, "T": config.final_time}
     if config.equation == "beta":
+        result["scheme"] = config.scheme
         s, _ = _spectral_from_config(config)
         u = np.linspace(0.0, 2.0 * np.pi, config.samples, endpoint=False)
         beta0 = spectral.synthesize_beta(s, u)
@@ -286,6 +289,8 @@ def _cmd_oracle_check(config: RunConfig):
         })
     else:
         raise ValidationError(f"unknown equation {config.equation!r}")
+    outdir = Path(config.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     json_path = curveio.write_json(outdir / "oracle_check.json", result)
     _emit_manifest(outdir, config, [json_path])
     print(json.dumps(result, indent=2))

@@ -33,15 +33,20 @@ def write_json(path, data, sort_keys=False):
     return path
 
 
-def write_curve_csv(path, curve: LegendreCurve, curvature=None, t=None):
-    path = Path(path)
+def check_finite(label, curve: LegendreCurve, curvature=None, t=None):
+    """Refuse a curve whose CSV columns would hold NaN or an infinity."""
     columns = [curve.positions, curve.normals]
     if curvature is not None:
         columns += [curvature.beta, curvature.ell]
     if t is not None:
         columns.append(t)
     if not all(np.isfinite(c).all() for c in columns):
-        raise InvariantViolationError(f"{path.name}: non-finite samples, not written")
+        raise InvariantViolationError(f"{label}: non-finite samples, not written")
+
+
+def write_curve_csv(path, curve: LegendreCurve, curvature=None, t=None):
+    path = Path(path)
+    check_finite(path.name, curve, curvature, t)
     header = ["u", "x", "y", "nu_x", "nu_y"]
     if curvature is not None:
         header += ["beta", "ell"]

@@ -3,8 +3,12 @@
 Two solvers, both deliberately ignorant of the spectral closed forms:
 
 * the linear beta equation d_t beta = d_uu beta / n^2 + beta on the periodic
-  grid (explicit Euler or Crank-Nicolson with a cyclic tridiagonal solve),
-  used to cross-check the spectral solution at its advertised order;
+  grid (explicit Euler on the 3-point stencil, or Crank-Nicolson with the
+  compact Pade stencil), used to cross-check the spectral solution at its
+  advertised order.  Every step matrix is circulant, so each step multiplies
+  the discrete Fourier coefficients of the samples by the stencil's own
+  symbol; the 3-point Laplacian's is -4 sin^2(k du/2)/du^2, never the exact
+  -k^2 of the closed form;
 * the quasi-linear circle-diffeomorphism PDE
       d_t phi = phi_uu / (phi_u^2 (l o phi)^2) - F(phi, t)
   with the exponential gradient envelope e^{-M(t)} min phi_0' <= phi_u <=
@@ -19,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import LegendreFlowError, ValidationError
 from .curves import periodic_diff, uniform_grid
@@ -51,53 +53,45 @@ class FDGrid:
         return n * n * self.du * self.du / 2.0
 
 
-def _periodic_laplacian(num, du):
-    main = np.full(num, -2.0)
-    off = np.ones(num - 1)
-    lap = scipy.sparse.diags([off, main, off], [-1, 0, 1], format="lil")
-    lap[0, -1] = 1.0
-    lap[-1, 0] = 1.0
-    return (lap / (du * du)).tocsc()
-
-
 def solve_beta_fd(beta0, n, final_time, grid: FDGrid):
     """March the beta equation to final_time on the periodic grid.
 
-    Crank-Nicolson factorizes the cyclic tridiagonal system once and reuses
-    it every step; explicit Euler enforces its stability bound up front.
+    Each step matrix is circulant, so the march runs on the rfft of the
+    samples: one multiplication by the step's symbol per step.  Explicit
+    Euler enforces its stability bound up front.
     """
-    beta = np.asarray(beta0, dtype=float).copy()
-    if beta.shape[0] != grid.num_points:
+    beta = np.asarray(beta0, dtype=float)
+    num = grid.num_points
+    if beta.shape[0] != num:
         raise ValidationError(
-            f"beta0 has {beta.shape[0]} samples but the grid expects {grid.num_points}")
+            f"beta0 has {beta.shape[0]} samples but the grid expects {num}")
     steps = int(round(final_time / grid.dt))
     if abs(steps * grid.dt - final_time) > 1e-12 * max(1.0, final_time):
         raise ValidationError("final_time must be an integer number of steps")
-    lap = _periodic_laplacian(grid.num_points, grid.du)
-    op = lap / (n * n) + scipy.sparse.identity(grid.num_points, format="csc")
+    # symbol of the 3-point periodic Laplacian (u_{j-1} - 2 u_j + u_{j+1})/du^2
+    lap = -4.0 * np.sin(0.5 * grid.du * np.arange(num // 2 + 1)) ** 2 / grid.du**2
     if grid.scheme == "explicit_euler":
         bound = grid.stable_dt_beta(n)
         if grid.dt > bound:
             raise ValidationError(
                 f"explicit Euler unstable at dt = {grid.dt:g}; "
                 f"use dt <= {bound:g}")
-        op = op.tocsr()
-        for _ in range(steps):
-            beta = beta + grid.dt * (op @ beta)
-        return beta
-    # Crank-Nicolson with the compact (Pade) tridiagonal spatial operator:
-    # M d_t beta = (L/n^2 + M) beta with M = I + (du^2/12) L; the plain
-    # 3-point operator's truncation error would exceed the advertised
-    # agreement tolerance at moderate N. Both step matrices stay cyclic
-    # tridiagonal.
-    eye = scipy.sparse.identity(grid.num_points, format="csc")
-    mass = (eye + (grid.du * grid.du / 12.0) * lap).tocsc()
-    stiff = (lap / (n * n) + mass).tocsc()
-    lhs = scipy.sparse.linalg.factorized((mass - 0.5 * grid.dt * stiff).tocsc())
-    rhs_op = (mass + 0.5 * grid.dt * stiff).tocsr()
+        factor = 1.0 + grid.dt * (lap / (n * n) + 1.0)
+    else:
+        # Crank-Nicolson with the compact (Pade) spatial operator:
+        # M d_t beta = (L/n^2 + M) beta with M = I + (du^2/12) L; the plain
+        # 3-point operator's truncation error would exceed the advertised
+        # agreement tolerance at moderate N.
+        mass = 1.0 + grid.du**2 / 12.0 * lap
+        stiff = lap / (n * n) + mass
+        lhs = mass - 0.5 * grid.dt * stiff
+        if np.any(lhs == 0.0):
+            raise ValidationError(f"Crank-Nicolson step is singular at dt = {grid.dt:g}")
+        factor = (mass + 0.5 * grid.dt * stiff) / lhs
+    coeffs = np.fft.rfft(beta)
     for _ in range(steps):
-        beta = lhs(rhs_op @ beta)
-    return beta
+        coeffs = factor * coeffs
+    return np.fft.irfft(coeffs, n=num)
 
 
 @dataclass(frozen=True)
@@ -150,9 +144,11 @@ def solve_phi_fd(state0: PhiState, ell_field, final_time, grid: FDGrid,
     """Explicit stepping of the diffeomorphism PDE on the periodic part.
 
     ell_field and forcing are callables (u_array, t) -> array; forcing None
-    means F == 0 (the special flow's case).  Every accepted step must keep
-    d_u phi positive; a violation triggers step-size halving (at most 10
-    times) before a hard failure citing the gradient bound.
+    means F == 0 (the special flow's case).  The step must respect the
+    diffusive bound dt <= du^2 min(l^2 phi_u^2)/2 of the initial state, checked
+    up front.  Every accepted step must keep d_u phi positive; a violation
+    triggers step-size halving (at most 10 times) before a hard failure citing
+    the gradient bound.
     """
     if forcing is None:
         forcing = lambda u, t: np.zeros_like(u)
@@ -162,6 +158,11 @@ def solve_phi_fd(state0: PhiState, ell_field, final_time, grid: FDGrid,
     du = grid.du
     part = state0.periodic_part.copy()
     u = uniform_grid(num)
+    ell0 = np.asarray(ell_field(u + part, 0.0), dtype=float)
+    bound = du * du * float(np.min((ell0 * state0.gradient()) ** 2)) / 2.0
+    if not grid.dt <= bound:
+        raise ValidationError(
+            f"explicit phi step unstable at dt = {grid.dt:g}; use dt <= {bound:g}")
     trajectory = PhiTrajectory()
     trajectory.record(0.0, PhiState(periodic_part=part.copy()))
 

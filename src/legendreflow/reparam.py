@@ -5,6 +5,12 @@ circle diffeomorphism phi so that the normal field spins uniformly and
 l == n, the rotation index.  phi = phi1 o phi2 where phi1 inverts the
 cumulative turning map psi1(v) = (1/n) int_0^v l and phi2 shifts by
 theta0/n to kill the residual phase of the normal field.
+
+Both steps rest on one periodic cubic spline, whose B-spline coefficients
+come from a circulant solve on the DFT of the samples: psi1 = v + (periodic
+part) is inverted by safeguarded Newton steps on the cubic Hermite with the
+spline's node slopes, limited where needed so that it stays monotone, and
+the position and normal samples are resampled at phi by their splines.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import LegendreCurve, angle_unwrap, curvature_from_samples, uniform_grid
-from .errors import ConvexityError, InconsistentNormalFieldError, ValidationError
+from .errors import (ConvexityError, InconsistentNormalFieldError, InvariantViolationError,
+                     ValidationError)
 
 ROTATION_INDEX_TOL = 1e-6
 
@@ -51,19 +58,20 @@ def image_hausdorff_distance(curve_a: LegendreCurve, curve_b: LegendreCurve,
     is measured against the nearest polyline *segments* of the other curve,
     so the result reflects the images rather than the sampling phase.
     """
-    from scipy.spatial import cKDTree
-
     def dense(curve):
         num = curve.grid_size * upsample
         t = np.linspace(0.0, 2.0 * np.pi, num, endpoint=False)
-        xs = _periodic_component_spline(curve.positions[:, 0])(t)
-        ys = _periodic_component_spline(curve.positions[:, 1])(t)
-        return np.stack([xs, ys], axis=-1)
+        return _periodic_component_spline(curve.positions)(t)
 
     def one_sided(points, polyline):
-        tree = cKDTree(polyline)
-        _, idx = tree.query(points)
         num = polyline.shape[0]
+        # nearest polyline node of each point, about 2**20 pairs at a time
+        chunk = max(1, 2**20 // num)
+        qx, qy = np.ascontiguousarray(polyline.T)
+        idx = np.concatenate([
+            np.argmin((points[i:i + chunk, :1] - qx) ** 2
+                      + (points[i:i + chunk, 1:] - qy) ** 2, axis=1)
+            for i in range(0, points.shape[0], chunk)])
         best = None
         for shift in (-1, 0):
             a = polyline[(idx + shift) % num]
@@ -105,32 +113,84 @@ def build_psi1(ell, n):
     return psi
 
 
-def _invert_monotone(node_values, targets, derivative_nodes):
-    """Invert a strictly increasing node table on [0, 2*pi].
+def _invert_monotone(node_values, targets):
+    """Invert psi(v) = v + p(v), p periodic, from the strictly increasing psi
+    at the N + 1 nodes of [0, 2*pi].
 
-    Monotone-cubic interpolation of the table, linear-interp bracket guess,
-    then Newton iterations (safeguarded by clipping into the bracket).
+    psi is the cubic Hermite interpolant whose node slopes are those of the
+    periodic spline of p, 1 + p'(v_j), limited to [0, 3 min(adjacent secants)]
+    (Hyman's filter).  That keeps every cell monotone, so each target has one
+    preimage, and where no slope is limited the interpolant is the spline
+    itself.  Each target is solved in its cell by Newton steps on the cell
+    parameter, falling back to bisection of the bracket when a step leaves it.
     """
-    from scipy.interpolate import PchipInterpolator
-    v_nodes = np.linspace(0.0, 2.0 * np.pi, node_values.shape[0])
-    table = PchipInterpolator(v_nodes, node_values)
-    slope = PchipInterpolator(v_nodes, derivative_nodes)
-    guess = np.interp(targets, node_values, v_nodes)
-    v = np.clip(guess, 0.0, 2.0 * np.pi)
+    num = node_values.shape[0] - 1
+    du = 2.0 * np.pi / num
+    secant = np.diff(node_values) / du
+    slope = 1.0 + _periodic_component_spline(node_values[:-1] - du * np.arange(num))(
+        du * np.arange(num), 1)
+    slope = np.clip(slope, 0.0, 3.0 * np.minimum(secant, np.roll(secant, 1)))
+    slope = np.append(slope, slope[0])
+
+    cell = np.clip(np.searchsorted(node_values, targets, side="right") - 1, 0, num - 1)
+    y0, y1 = node_values[cell], node_values[cell + 1]
+    d0, d1 = du * slope[cell], du * slope[cell + 1]
+    lo, hi = np.zeros_like(y0), np.ones_like(y0)
+    f = np.clip((targets - y0) / (y1 - y0), 0.0, 1.0)
     for _ in range(60):
-        residual = table(v) - targets
-        if np.max(np.abs(residual)) < 1e-13:
+        g = 1.0 - f
+        residual = (y0 * g * g * (1.0 + 2.0 * f) + d0 * f * g * g
+                    + y1 * f * f * (1.0 + 2.0 * g) - d1 * f * f * g - targets)
+        done = np.abs(residual) < 1e-13
+        if done.all():
             break
-        v = np.clip(v - residual / slope(v), 0.0, 2.0 * np.pi)
-    return v
+        lo = np.where(residual < 0.0, f, lo)
+        hi = np.where(residual > 0.0, f, hi)
+        rate = 6.0 * f * g * (y1 - y0) + d0 * g * (g - 2.0 * f) + d1 * f * (f - 2.0 * g)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f - residual / rate
+        f = np.where(done, f, np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi)))
+    else:
+        raise InvariantViolationError(
+            f"psi inversion did not converge (residual {np.max(np.abs(residual)):.3g})")
+    return du * (cell + f)
 
 
 def _periodic_component_spline(values):
-    from scipy.interpolate import CubicSpline
+    """Periodic cubic spline through samples on the N uniform nodes of [0, 2*pi).
+
+    values holds the N samples along axis 0; further axes are splined
+    together.  The B-spline coefficients solve the circulant system
+    (c_{j-1} + 4 c_j + c_{j+1})/6 = y_j by one division on the DFT,
+    c_k = y_k 6/(4 + 2 cos(k du)).  The returned evaluate(v, nu=0) gives the
+    spline (nu = 0) or its derivative (nu = 1) at the points v from the four
+    cubic B-spline weights around each point.
+    """
+    values = np.asarray(values, dtype=float)
     num = values.shape[0]
-    nodes = np.linspace(0.0, 2.0 * np.pi, num + 1)
-    closed = np.concatenate([values, values[:1]])
-    return CubicSpline(nodes, closed, bc_type="periodic")
+    du = 2.0 * np.pi / num
+    symbol = 6.0 / (4.0 + 2.0 * np.cos(du * np.arange(num // 2 + 1)))
+    coeffs = np.fft.irfft(np.fft.rfft(values, axis=0)
+                          * symbol.reshape((-1,) + (1,) * (values.ndim - 1)),
+                          n=num, axis=0)
+
+    def evaluate(v, nu=0):
+        x = np.asarray(v, dtype=float) / du
+        cell = np.floor(x)
+        f = x - cell
+        g = 1.0 - f
+        if nu == 0:
+            weights = (g**3, 3.0 * f**3 - 6.0 * f**2 + 4.0, 3.0 * g**3 - 6.0 * g**2 + 4.0, f**3)
+        else:
+            weights = (-3.0 * g**2, 9.0 * f**2 - 12.0 * f, 12.0 * g - 9.0 * g**2, 3.0 * f**2)
+        cell = cell.astype(int)
+        total = 0.0
+        for offset, w in enumerate(weights):
+            total = total + w.reshape(w.shape + (1,) * (values.ndim - 1)) \
+                * coeffs[(cell + offset - 1) % num]
+        return total / (6.0 * du**nu)
+
+    return evaluate
 
 
 def reparametrize(curve: LegendreCurve):
@@ -151,20 +211,15 @@ def reparametrize(curve: LegendreCurve):
     # psi1(v) = (Theta(v) - Theta(0)) / n: identical to the cumulative
     # trapezoid of l/n but free of quadrature error, since l = d_u Theta.
     psi_nodes = np.append(angle.theta - angle.theta[0], 2.0 * np.pi * n) / n
-    ell_nodes = np.append(curvature.ell, curvature.ell[0]) / n
 
     u = curve.grid
     shifted = np.mod(u - theta0 / n, 2.0 * np.pi)
-    phi_raw = _invert_monotone(psi_nodes, shifted, ell_nodes)
+    phi_raw = _invert_monotone(psi_nodes, shifted)
 
-    x_spline = _periodic_component_spline(curve.positions[:, 0])
-    y_spline = _periodic_component_spline(curve.positions[:, 1])
-    nx_spline = _periodic_component_spline(curve.normals[:, 0])
-    ny_spline = _periodic_component_spline(curve.normals[:, 1])
-
-    positions = np.stack([x_spline(phi_raw), y_spline(phi_raw)], axis=-1)
-    normals = np.stack([nx_spline(phi_raw), ny_spline(phi_raw)], axis=-1)
-    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    samples = _periodic_component_spline(
+        np.concatenate([curve.positions, curve.normals], axis=1))(phi_raw)
+    positions = samples[:, :2]
+    normals = samples[:, 2:] / np.linalg.norm(samples[:, 2:], axis=1, keepdims=True)
 
     new_curve = LegendreCurve(positions=positions, normals=normals)
 

@@ -96,3 +96,33 @@ def per_mode_scaled_error(s, t, num=1024):
         profile = SelfSimilarProfile(n=s.n, m=int(k), c1=ak, c2=bk)
         total += np.exp((lam[k] - lam[m]) * t) * profile_position(profile, u)
     return float(np.max(np.abs(total)))
+
+
+def sparse_beta_fd(beta0, n, final_time, grid):
+    """The beta equation marched with sparse matrices: explicit Euler on the
+    3-point periodic Laplacian L, or Crank-Nicolson with the Pade mass
+    M = I + (du^2/12) L factorized once (the solver before its DFT form)."""
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    num = grid.num_points
+    lap = scipy.sparse.diags([np.ones(num - 1), np.full(num, -2.0), np.ones(num - 1)],
+                             [-1, 0, 1], format="lil")
+    lap[0, -1] = 1.0
+    lap[-1, 0] = 1.0
+    lap = (lap / (grid.du * grid.du)).tocsc()
+    eye = scipy.sparse.identity(num, format="csc")
+    beta = np.asarray(beta0, dtype=float).copy()
+    steps = int(round(final_time / grid.dt))
+    if grid.scheme == "explicit_euler":
+        op = (lap / (n * n) + eye).tocsr()
+        for _ in range(steps):
+            beta = beta + grid.dt * (op @ beta)
+        return beta
+    mass = (eye + (grid.du * grid.du / 12.0) * lap).tocsc()
+    stiff = (lap / (n * n) + mass).tocsc()
+    lhs = scipy.sparse.linalg.factorized((mass - 0.5 * grid.dt * stiff).tocsc())
+    rhs_op = (mass + 0.5 * grid.dt * stiff).tocsr()
+    for _ in range(steps):
+        beta = lhs(rhs_op @ beta)
+    return beta

@@ -156,6 +156,15 @@ class TestOracleCheck:
         report = json.loads((tmp_path / "oracle_check.json").read_text())
         assert report["gradient_bounds_ok"]
         assert report["winding_ok"]
+        assert "scheme" not in report  # phi is always stepped explicitly
+
+    def test_phi_defaults_rejected_up_front(self, tmp_path, capsys):
+        # N = 512, dt = 1e-3: far above the explicit bound du^2 min(l^2 phi_u^2)/2
+        outdir = tmp_path / "out"
+        code = run(["oracle-check", "--equation", "phi", "--outdir", str(outdir)])
+        assert code == 2
+        assert "dt <=" in capsys.readouterr().err
+        assert not outdir.exists()
 
 
 class TestCurveIO:
@@ -189,9 +198,11 @@ class TestNonFiniteOutput:
     @pytest.mark.parametrize("argv", [
         # lambda_1 = 3/4 for n = 2: e^{750} overflows, the positions turn NaN
         ["simulate", "--n", "2", "--mode", "1:1", "--times", "1000"],
+        # a finite first snapshot is not written either
+        ["simulate", "--n", "2", "--mode", "1:1", "--times", "0,1000"],
         # e^{711} times the scaled slope overflows to an infinite dbeta
         ["cusps", "--n", "3", "--mode", "1:1", "--times", "800"],
-    ], ids=["simulate", "cusps"])
+    ], ids=["simulate", "simulate-series", "cusps"])
     def test_refused_with_exit_3(self, tmp_path, capsys, argv):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -217,6 +228,23 @@ class TestNonFiniteOutput:
         assert not (tmp_path / "c.csv").exists()
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv", [
+        ["cusps", "--times", "nan"],
+        ["simulate", "--times", "nan"],
+        ["simulate", "--times", "0,inf"],
+        ["simulate", "--mode", "2:inf"],
+        ["simulate", "--a0", "nan"],
+        ["oracle-check", "--mode", "2:1", "--dt", "nan"],
+    ], ids=["cusps-times", "simulate-times", "simulate-inf-time", "simulate-mode",
+            "simulate-a0", "oracle-dt"])
+    def test_rejected_with_exit_2(self, tmp_path, capsys, argv):
+        code = run(argv + ["--outdir", str(tmp_path / "out")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_import_leaves_out_scipy_optimize():
     # scipy.optimize alone costs about a third of a second of start-up
     src = str(Path(legendreflow.__file__).resolve().parents[1])
@@ -224,3 +252,36 @@ def test_import_leaves_out_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # every command runs on numpy alone; scipy is only a test dependency
+    u = uniform_grid(256)
+    psi = u + 0.3 * np.sin(u)
+    nu = np.stack([np.sin(psi), -np.cos(psi)], axis=-1)
+    write_curve_csv(tmp_path / "warped.csv", LegendreCurve(positions=nu, normals=nu))
+    commands = [
+        ["simulate", "--n", "1", "--mode", "2:1", "--times", "0,0.5"],
+        ["self-similar", "--catalog"],
+        ["cusps", "--n", "1", "--a0", "0.01", "--mode", "2:1"],
+        ["converge", "--n", "1", "--mode", "2:1", "--mode", "4:0.1"],
+        ["reparam", "--curve", str(tmp_path / "warped.csv")],
+        ["oracle-check", "--equation", "beta", "--n", "1", "--mode", "2:1",
+         "--samples", "256", "--dt", "1e-3", "--T", "0.25"],
+        ["oracle-check", "--equation", "phi", "--samples", "128", "--dt", "2e-4",
+         "--T", "0.2"],
+    ]
+    code = (
+        "import json, sys\n"
+        "from legendreflow.cli import main\n"
+        "codes = [main(argv + ['--outdir', f'{sys.argv[1]}/{i}'])\n"
+        "         for i, argv in enumerate(json.loads(sys.argv[2]))]\n"
+        "print(json.dumps({'codes': codes,\n"
+        "                  'scipy': sorted(m for m in sys.modules if m.startswith('scipy'))}))\n")
+    src = str(Path(legendreflow.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path), json.dumps(commands)],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0] * len(commands)
+    assert result["scipy"] == []

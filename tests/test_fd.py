@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import sparse_beta_fd
 from legendreflow.curves import uniform_grid
 from legendreflow.errors import ValidationError
 from legendreflow.fd import (
@@ -80,6 +81,28 @@ class TestSolveBetaFD:
         with pytest.raises(ValidationError, match="dt <="):
             solve_beta_fd(np.cos(2 * uniform_grid(num)), 1, 0.1, grid)
 
+    @pytest.mark.parametrize("num,dt,final_time,scheme,beta0", [
+        (256, 1e-3, 0.25, "crank_nicolson", lambda u: np.cos(2 * u)),
+        (128, 1e-3, 0.25, "crank_nicolson", np.ones_like),
+        (512, 5e-4, 0.25, "crank_nicolson", lambda u: np.cos(2 * u)),
+        (64, 2e-3, 0.2, "explicit_euler", lambda u: np.cos(2 * u)),
+        # every mode up to Nyquist, and an odd grid
+        (99, 1e-3, 0.1, "crank_nicolson", lambda u: np.sign(np.sin(3 * u)) + u),
+        (99, 1e-3, 0.1, "explicit_euler", lambda u: np.sign(np.sin(3 * u)) + u),
+    ], ids=["cn256", "cn128-reaction", "cn512", "euler64", "cn99", "euler99"])
+    def test_matches_sparse_reference(self, num, dt, final_time, scheme, beta0):
+        grid = FDGrid(num_points=num, dt=dt, scheme=scheme)
+        b0 = beta0(uniform_grid(num))
+        reference = sparse_beta_fd(b0, 1, final_time, grid)
+        approx = solve_beta_fd(b0, 1, final_time, grid)
+        assert np.max(np.abs(approx - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_singular_crank_nicolson_step_rejected(self):
+        # the mean mode's step (1 + dt/2)/(1 - dt/2) has a pole at dt = 2
+        grid = FDGrid(num_points=64, dt=2.0)
+        with pytest.raises(ValidationError, match="singular"):
+            solve_beta_fd(np.ones(64), 1, 2.0, grid)
+
     def test_sample_count_mismatch_rejected(self):
         grid = FDGrid(num_points=64, dt=1e-3)
         with pytest.raises(ValidationError):
@@ -129,6 +152,16 @@ class TestSolvePhiFD:
         for t, lo_bound, lo, hi, hi_bound in rows:
             assert lo_bound - 1e-12 <= lo
             assert hi <= hi_bound + 1e-12
+
+
+    def test_unstable_step_rejected(self):
+        # l = 1 and phi_u >= 0.8: the bound is du^2 0.64 / 2 ~ 4.8e-5 at N = 512
+        num = 512
+        u = uniform_grid(num)
+        state0 = PhiState.from_phi(u + 0.2 * np.sin(u))
+        grid = FDGrid(num_points=num, dt=1e-3, scheme="explicit_euler")
+        with pytest.raises(ValidationError, match="dt <="):
+            solve_phi_fd(state0, lambda v, t: np.ones_like(v), 0.1, grid)
 
 
 class TestTangentVelocityForm:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from legendreflow.curves import (
     LegendreCurve,
@@ -12,16 +13,18 @@ from legendreflow.curves import (
 from legendreflow.errors import ConvexityError, InconsistentNormalFieldError
 from legendreflow.reparam import (
     Reparametrization,
+    _invert_monotone,
+    _periodic_component_spline,
     build_psi1,
     image_hausdorff_distance,
     reparametrize,
 )
 
 
-def warped_circle(num=512, amplitude=0.3, n=1):
-    """Unit circle traced with parameter speed warped by psi(u) = u + a sin u."""
+def warped_circle(num=512, amplitude=0.3, n=1, harmonic=1):
+    """Unit circle traced with parameter speed warped by psi(u) = u + a sin(m u)."""
     u = uniform_grid(num)
-    psi = u + amplitude * np.sin(n * u) / n
+    psi = u + amplitude * np.sin(n * harmonic * u) / n
     nu = np.stack([np.sin(n * psi), -np.cos(n * psi)], axis=-1)
     pos = nu / n
     return LegendreCurve(positions=pos, normals=nu)
@@ -59,6 +62,62 @@ class TestBuildPsi1:
     def test_wrong_index_rejected(self):
         with pytest.raises(InconsistentNormalFieldError):
             build_psi1(np.full(64, 1.0), 2)
+
+
+class TestPeriodicSpline:
+    @given(st.integers(8, 2048), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy_periodic_cubic_spline(self, num, seed):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=num)
+        v = rng.uniform(0.0, 2.0 * np.pi, 200)
+        reference = CubicSpline(np.linspace(0.0, 2.0 * np.pi, num + 1),
+                                np.append(y, y[0]), bc_type="periodic")
+        spline = _periodic_component_spline(y)
+        scale = np.max(np.abs(y))
+        assert np.max(np.abs(spline(v) - reference(v))) <= 1e-12 * scale
+        # the offset of v in its cell carries a rounding error of about
+        # eps * num cells; times s'' (up to ~ scale * num^2 for rough data)
+        # that is a slope error of ~ eps * num^2 * scale in either
+        # implementation, 1.5e-10 * scale at num = 2048
+        assert np.max(np.abs(spline(v, 1) - reference(v, 1))) <= 1e-12 * num * scale
+
+
+class TestInvertMonotone:
+    @pytest.mark.parametrize("ratio", [8.0, 20.0, 577.0])
+    def test_one_cell_corner_stays_monotone(self, ratio):
+        # psi nodes of an l that jumps by `ratio` over one cell of 64: the
+        # periodic spline of such data overshoots and is not monotone, so its
+        # inverse would pick preimages outside the target's cell
+        num = 64
+        du = 2.0 * np.pi / num
+        ell = np.ones(num)
+        ell[num // 2] = ratio
+        nodes = np.append(0.0, np.cumsum(ell) * 2.0 * np.pi / np.sum(ell))
+        nodes[-1] = 2.0 * np.pi
+        assert np.max(np.abs(_invert_monotone(nodes, nodes[:-1])
+                             - du * np.arange(num))) < 1e-12
+        targets = np.linspace(0.0, 2.0 * np.pi, 4000, endpoint=False)
+        v = _invert_monotone(nodes, targets)
+        assert np.all(np.diff(v) > 0.0)
+        cell = np.searchsorted(nodes, targets, side="right") - 1
+        assert np.all((v >= du * cell - 1e-12) & (v <= du * (cell + 1) + 1e-12))
+
+    def test_sharp_warp_matches_bisection(self):
+        # l = 1 + 0.95 cos 8u varies 39:1 with eight samples per wave
+        curve = warped_circle(64, amplitude=0.95 / 8.0, n=1, harmonic=8)
+        _, record = reparametrize(curve)
+        from scipy.optimize import brentq
+        u = uniform_grid(64)
+        targets = np.mod(u - record.theta0, 2.0 * np.pi)
+        phi_oracle = np.array([
+            brentq(lambda v: v + 0.95 * np.sin(8.0 * v) / 8.0 - target, -1.0,
+                   2.0 * np.pi + 1.0)
+            for target in targets])
+        assert np.max(np.abs(np.exp(1j * record.phi)
+                             - np.exp(1j * phi_oracle))) < 2e-4
 
 
 class TestReparametrization:
