@@ -47,6 +47,15 @@ class RunConfig:
                    *(c for pair in self.modes.values() for c in pair)]
         if not np.all(np.isfinite(numbers)):
             raise ValidationError("times, coefficients, dt and T must be finite")
+        if self.samples < fd.MIN_POINTS:
+            raise ValidationError(f"--samples must be at least {fd.MIN_POINTS}, got {self.samples}")
+        # X_0 = int beta_0 mu has frequencies up to n + K, which the grid must resolve
+        top = self.n + max(self.modes, default=0)
+        if (self.command in ("simulate", "converge") and self.curve is None
+                and self.samples <= 2 * top):
+            raise ValidationError(
+                f"--samples must exceed 2 (n + K) = {2 * top} to resolve the initial curve, "
+                f"got {self.samples}")
         if self.times and (any(t < 0 for t in self.times)
                            or any(b <= a for a, b in zip(self.times, self.times[1:]))):
             raise ValidationError("times must be non-negative and strictly increasing")
@@ -379,10 +388,12 @@ def config_from_args(args):
             return file_values[name]
         return default
 
-    modes = {}
-    for entry in file_values.get("modes", {}).items() if "modes" in file_values else []:
-        k, v = entry
-        modes[int(k)] = (float(v[0]), float(v[1]))
+    if not isinstance(file_values, dict):
+        raise ValidationError("config file must hold a JSON object")
+    modes = file_values.get("modes", {})
+    if not (isinstance(modes, dict)
+            and all(isinstance(ab, list) and len(ab) == 2 for ab in modes.values())):
+        raise ValidationError("config modes must map k to [a_k, b_k]")
     if getattr(args, "mode", None):
         modes = dict(_parse_mode(m) for m in args.mode)
 
@@ -391,28 +402,31 @@ def config_from_args(args):
         times = _parse_times(args.times)
 
     outdir = pick("outdir", os.environ.get("LEGENDREFLOW_OUTDIR", "."))
-    config = RunConfig(
-        command=args.command,
-        n=int(pick("n", 1)),
-        a0=float(pick("a0", 0.0)),
-        modes=modes,
-        curve=pick("curve", None),
-        m=pick("m", None),
-        c1=pick("c1", None),
-        c2=float(pick("c2", 0.0)),
-        times=[float(t) for t in times],
-        samples=int(pick("samples", 512)),
-        outdir=outdir,
-        catalog=bool(getattr(args, "catalog", False) or file_values.get("catalog", False)),
-        equation=pick("equation", "beta"),
-        scheme=pick("scheme", "crank_nicolson"),
-        dt=float(pick("dt", 1e-3)),
-        final_time=float(pick("final_time", 0.25)),
-    )
-    if config.m is not None:
-        config.m = int(config.m)
-    if config.c1 is not None:
-        config.c1 = float(config.c1)
+    try:
+        config = RunConfig(
+            command=args.command,
+            n=int(pick("n", 1)),
+            a0=float(pick("a0", 0.0)),
+            modes={int(k): (float(a), float(b)) for k, (a, b) in modes.items()},
+            curve=pick("curve", None),
+            m=pick("m", None),
+            c1=pick("c1", None),
+            c2=float(pick("c2", 0.0)),
+            times=[float(t) for t in times],
+            samples=int(pick("samples", 512)),
+            outdir=outdir,
+            catalog=bool(getattr(args, "catalog", False) or file_values.get("catalog", False)),
+            equation=pick("equation", "beta"),
+            scheme=pick("scheme", "crank_nicolson"),
+            dt=float(pick("dt", 1e-3)),
+            final_time=float(pick("final_time", 0.25)),
+        )
+        if config.m is not None:
+            config.m = int(config.m)
+        if config.c1 is not None:
+            config.c1 = float(config.c1)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed config value: {exc}") from exc
     config.validate()
     return config
 

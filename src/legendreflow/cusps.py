@@ -9,6 +9,12 @@ polynomial beta are the unit-circle roots of the polynomial z^K beta, found as
 companion-matrix eigenvalues (Boyd, J. Eng. Math. 56, 2006); d_u and d_t act
 mode-wise as (ik)^p lambda_k^q.  Zero sets ignore positive factors, so the
 largest growth factor is divided out: counts hold at any t.
+
+A drop of z(t) is located at its fold, where two zeros meet and leave the
+circle as a root pair: Newton's method on beta = d_u beta = 0 in (u, t)
+starts from the angles of the roots off the circle after the drop, and two
+counts, just before and just after the fold, certify it.  Bisection in t is
+the fallback for a drop no certified fold accounts for.
 """
 
 from __future__ import annotations
@@ -26,7 +32,9 @@ DERIVATIVE_THRESHOLD = 1e-8     # relative: simple cusp iff |d_u beta| > thr * s
 # this of the circle are zeros, and two within it of each other are one zero.
 UNIT_CIRCLE_TOL = 1e-6
 NEGLIGIBLE_MODE = 1e-14         # relative: smaller evolved modes are dropped
-EVENT_DT = 1e-6                 # bisection resolution for strict-decrease times
+# Folds closer than this in t are one event, certified by counts EVENT_DT/2
+# before the first and after the last; the fallback bisects to it.
+EVENT_DT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -62,13 +70,18 @@ class DecreaseEvent:
 
 def _evolved(s: SpectralBeta, t):
     """(c, shift), beta(u, t) = e^shift Re sum_k c_k e^{iku}, c_k = (a_k - i b_k)
-    e^{lambda_k t - shift}; shift is the largest lambda_k t of a nonzero mode."""
+    e^{lambda_k t - shift}; shift is the largest lambda_k t of a nonzero mode.
+    Raises InvariantViolationError when shift is not a finite double."""
     c = s.cos_coeffs - 1j * s.sin_coeffs
     live = c != 0.0
-    rate = s.eigenvalues()[live] * t
-    c[live] *= np.exp(rate - rate.max())
+    lam = s.eigenvalues()[live]
+    top = lam.max() if t >= 0 else lam.min()
+    if not np.isfinite(top * t):
+        raise InvariantViolationError(f"growth exponent lambda_k t overflows at t = {float(t)!r}")
+    with np.errstate(over="ignore"):  # (lam - top) t of -inf is a factor of 0
+        c[live] *= np.exp((lam - top) * t)
     c[np.abs(c) < NEGLIGIBLE_MODE * np.max(np.abs(c))] = 0.0
-    return c[: np.flatnonzero(c)[-1] + 1], float(rate.max())
+    return c[: np.flatnonzero(c)[-1] + 1], float(top * t)
 
 
 def _derivatives(c, u, orders, lam=None):
@@ -157,53 +170,137 @@ def report_series(s: SpectralBeta, times):
     return reports
 
 
-def _refine_witness(s, lo, hi):
-    """(u, t) with beta = d_u beta = 0 behind a count drop within [lo, hi].
+def _refine_witness(s, u, t, lo, hi):
+    """Polish a degenerate zero beta = d_u beta = 0 from (u, t) by Newton's
+    method with the exact Jacobian [[d_u beta, d_t beta], [d_u^2 beta,
+    d_t d_u beta]].
 
-    Newton's method with the exact Jacobian [[d_u beta, d_t beta], [d_u^2 beta,
-    d_t d_u beta]] starts at the midpoint and the angle of the root pair that
-    left the circle at hi.  If it does not converge into the bracket (singular
-    Jacobian where three zeros merge at once), midpoint and angle stand."""
-    roots = _roots(_evolved(s, hi)[0])
-    gap = np.abs(np.abs(roots) - 1.0)
-    start = float(np.angle(roots[np.argmin(np.where(gap < UNIT_CIRCLE_TOL, np.inf, gap))]))
-    u, t = start, 0.5 * (lo + hi)
+    Once the steps fall below 1e-13 the iterate with the smallest
+    |beta| + |d_u beta| is returned: the last step's rounding may land a
+    little off the best one.  None if Newton does not converge into
+    [lo, hi]."""
+    lam, best, residual, done = s.eigenvalues(), None, np.inf, False
     with np.errstate(all="ignore"):
-        for _ in range(12):
+        for _ in range(13):
+            if not (np.isfinite(u) and abs(t) < 1e3 * max(1.0, hi)):
+                return None  # diverged
             c, _ = _evolved(s, t)
             b, bt, bu, btu, buu = _derivatives(c, [u], ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0)),
-                                               s.eigenvalues()[: c.shape[0]])[0]
+                                               lam[: c.shape[0]])[0]
+            if lo <= t <= hi and abs(b) + abs(bu) < residual:
+                best, residual = (u, t), abs(b) + abs(bu)
+            if done:
+                break
             det = bu * btu - bt * buu
             du, dt = (bt * bu - b * btu) / det, (b * buu - bu * bu) / det
             u, t = u + du, t + dt
-            if abs(du) < 1e-13 and abs(dt) < 1e-13 * max(1.0, t) and lo <= t <= hi:
-                return float(np.mod(u, 2.0 * np.pi)), float(t)
-    return start % (2.0 * np.pi), 0.5 * (lo + hi)
+            done = abs(du) < 1e-13 and abs(dt) < 1e-13 * max(1.0, abs(t))
+    if not done or best is None:
+        return None
+    return float(np.mod(best[0], 2.0 * np.pi)), float(best[1])
+
+
+def _folds(s, lo, hi, pairs):
+    """Degenerate zeros (u, t) with lo < t < hi at distinct times, sorted by t.
+
+    A zero pair lost at a fold leaves the circle as a root pair z, 1/conj(z)
+    at the fold's angle, so Newton on beta = d_u beta = 0 in (u, t) starts
+    from the angle of every root outside the circle at hi, at t = lo,
+    (lo + hi)/2 and hi.  All starts run as one array iteration, which stops
+    once the folds of the given number of lost pairs are found; each fold is
+    then polished by _refine_witness."""
+    roots = _roots(_evolved(s, hi)[0])
+    u = np.tile(np.angle(roots[np.abs(roots) > 1.0 + UNIT_CIRCLE_TOL]), 3)
+    t = np.repeat([lo, 0.5 * (lo + hi), hi], u.shape[0] // 3)
+    c0, lam = s.cos_coeffs - 1j * s.sin_coeffs, s.eigenvalues()
+    live, k = c0 != 0.0, np.arange(c0.shape[0])
+    # Re sum_k w_k e^{iku} o_k over the columns o of orders: beta, d_t, d_u, d_t d_u, d_u^2
+    orders = np.stack([np.ones_like(lam), lam, 1j * k, 1j * k * lam, -k * k], 1)
+    with np.errstate(all="ignore"):
+        for _ in range(30):
+            rate = np.where(live, np.multiply.outer(t, lam), -np.inf)
+            w = c0 * np.exp(rate - rate.max(axis=1, keepdims=True))
+            b, bt, bu, btu, buu = np.real((w * np.exp(1j * np.multiply.outer(u, k))) @ orders).T
+            det = bu * btu - bt * buu
+            du, dt = (bt * bu - b * btu) / det, (b * buu - bu * bu) / det
+            u, t = u + du, t + dt
+            done = (np.abs(du) < 1e-13) & (np.abs(dt) < 1e-13 * np.maximum(1.0, np.abs(t)))
+            inside = np.flatnonzero(done & (lo < t) & (t < hi))
+            inside = inside[np.argsort(t[inside])]
+            distinct = inside[np.diff(t[inside], prepend=-np.inf) > 1e-10 * hi]
+            if distinct.size >= pairs or np.all(done | ~np.isfinite(u + t)):
+                break
+    polished = (_refine_witness(s, u[i], t[i], lo, hi) for i in distinct)
+    return [fold for fold in polished if fold is not None and lo < fold[1] < hi]
+
+
+def _event(s, interval, t_event, before, after, u):
+    c, _ = _evolved(s, t_event)
+    wbeta, wdbeta = _derivatives(c, [u], ((0, 0), (1, 0)))[0] / _sup(c)
+    return DecreaseEvent((float(interval[0]), float(interval[1])), float(t_event),
+                         int(before), int(after), float(u), float(wbeta), float(wdbeta))
+
+
+def _bisect(s, t_lo, t_hi, z_hi, cur_t, cur_z):
+    """The events of the drops from cur_z at cur_t down to z_hi at t_hi, each
+    bracketed by bisection in t to EVENT_DT; the witness is the Newton solve
+    from the bracket's midpoint and the angle of the root pair that left the
+    circle at its end (the bracket's midpoint and that angle if it fails)."""
+    events = []
+    while cur_z > z_hi:
+        lo, hi = cur_t, t_hi
+        while hi - lo > EVENT_DT:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if _count(s, mid) < cur_z else (mid, hi)
+        z_after = _count(s, hi)
+        # the count drops a little after the fold, at UNIT_CIRCLE_TOL off the
+        # circle; a fold before cur_t belongs to an event already reported
+        lo = max(lo - EVENT_DT, cur_t)
+        roots = _roots(_evolved(s, hi)[0])
+        gap = np.abs(np.abs(roots) - 1.0)
+        start = float(np.mod(np.angle(roots[np.argmin(
+            np.where(gap < UNIT_CIRCLE_TOL, np.inf, gap))]), 2.0 * np.pi))
+        wu, t_event = _refine_witness(s, start, 0.5 * (lo + hi), lo, hi) \
+            or (start, 0.5 * (lo + hi))
+        events.append(_event(s, (t_lo, t_hi), t_event, cur_z, z_after, wu))
+        cur_t, cur_z = hi, z_after
+    return events
 
 
 def detect_strict_decrease(s: SpectralBeta, series):
     """Locate and certify every strict decrease in a zero-count series.
 
-    Each drop interval is bisected in t to EVENT_DT resolution; the degenerate
-    zero solved for in the final bracket gives t_event and the witness.
+    In each drop interval the folds, the degenerate zeros where a zero pair
+    is lost, are solved for by Newton's method (_folds), and folds less than
+    EVENT_DT apart make one event.  Taken in time order, the folds from t0 to
+    t* are an event when the count is still the current one at
+    t0 - EVENT_DT/2 and lower at t* + EVENT_DT/2 (the series' own count past
+    the interval's end).  The fold at t* is the witness and t* is t_event.
+    Only a drop the certified folds do not account for (a fold no Newton
+    start reaches, or one the counts do not certify) is bracketed by
+    bisection in t instead (_bisect).
     """
     events = []
     for (t_lo, z_lo), (t_hi, z_hi) in zip(series, series[1:]):
+        if z_hi >= z_lo:
+            continue
+        groups = []  # [t of the first fold, u and t of the last]
+        for u, t in _folds(s, t_lo, t_hi, (z_lo - z_hi) // 2):
+            if groups and t - groups[-1][2] < EVENT_DT:
+                groups[-1][1:] = [u, t]
+            else:
+                groups.append([t, u, t])
         cur_t, cur_z = t_lo, z_lo
-        while cur_z > z_hi:
-            lo, hi = cur_t, t_hi
-            while hi - lo > EVENT_DT:
-                mid = 0.5 * (lo + hi)
-                lo, hi = (lo, mid) if _count(s, mid) < cur_z else (mid, hi)
-            z_after = _count(s, hi)
-            # the count drops a little after the fold, at UNIT_CIRCLE_TOL off the circle
-            wu, t_event = _refine_witness(s, max(lo - EVENT_DT, t_lo), hi)
-            c, _ = _evolved(s, t_event)
-            wbeta, wdbeta = _derivatives(c, [wu], ((0, 0), (1, 0)))[0] / _sup(c)
-            events.append(DecreaseEvent((float(t_lo), float(t_hi)), float(t_event),
-                                        int(cur_z), int(z_after), wu,
-                                        float(wbeta), float(wdbeta)))
-            cur_t, cur_z = hi, z_after
+        for t0, wu, t_event in groups:
+            if cur_z == z_hi or _count(s, t0 - 0.5 * EVENT_DT) != cur_z:
+                break
+            after = t_event + 0.5 * EVENT_DT
+            z_after = z_hi if after >= t_hi else _count(s, after)
+            if z_after >= cur_z:
+                break
+            events.append(_event(s, (t_lo, t_hi), t_event, cur_z, z_after, wu))
+            cur_t, cur_z = after, z_after
+        events += _bisect(s, t_lo, t_hi, z_hi, cur_t, cur_z)
     return events
 
 

@@ -28,6 +28,7 @@ from .errors import LegendreFlowError, ValidationError
 from .curves import periodic_diff, uniform_grid
 
 SCHEMES = ("explicit_euler", "crank_nicolson")
+MIN_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,8 @@ class FDGrid:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValidationError(f"unknown scheme {self.scheme!r}; pick from {SCHEMES}")
-        if self.num_points < 8 or self.dt <= 0.0:
-            raise ValidationError("need num_points >= 8 and dt > 0")
+        if self.num_points < MIN_POINTS or self.dt <= 0.0:
+            raise ValidationError(f"need num_points >= {MIN_POINTS} and dt > 0")
 
     @property
     def du(self):

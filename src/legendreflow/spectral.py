@@ -37,7 +37,8 @@ import numpy as np
 from .curves import LegendreCurve, LegendreCurvature, uniform_grid
 from .errors import NotClosedError, PointCurveError, ValidationError
 
-CLOSURE_COEFF_TOL = 1e-8
+CLOSURE_COEFF_TOL = 1e-8       # n band of sampled beta_0 (analyze_beta), zeroed below it
+N_BAND_TOL = 1e-10              # |a_n|, |b_n| a SpectralBeta admits
 
 
 def eigenvalue(n, k):
@@ -71,7 +72,7 @@ class SpectralBeta:
         if not np.any(a) and not np.any(b):
             raise PointCurveError("all coefficients vanish; beta_0 describes a point")
         if self.n < a.shape[0]:
-            if abs(a[self.n]) > 1e-10 or abs(b[self.n]) > 1e-10:
+            if abs(a[self.n]) > N_BAND_TOL or abs(b[self.n]) > N_BAND_TOL:
                 raise NotClosedError(
                     f"n-band coefficients (a_{self.n}, b_{self.n}) = "
                     f"({a[self.n]:g}, {b[self.n]:g}) violate the closure constraint"
@@ -224,8 +225,8 @@ def _increment(s: SpectralBeta, u):
     u points for an int u (see _synthesize).
 
     As x + iy, beta_0 e^{inv} = sum_p h_p e^{ipv}; each p != 0 integrates to
-    h_p (e^{ipu} - 1)/(ip), and p = 0 (the n band, |a_n| <= 1e-10 is
-    admitted) to h_0 u.
+    h_p (e^{ipu} - 1)/(ip), and p = 0 (the n band, |a_n|, |b_n| <= N_BAND_TOL
+    are admitted) to h_0 u.
     """
     p, h = _shifted(s, s.cos_coeffs - 1j * s.sin_coeffs)
     w = np.divide(h, 1j * p, out=np.zeros_like(h), where=p != 0)
@@ -242,7 +243,9 @@ def position_increment(s: SpectralBeta, u):
 def reconstruct_initial_curve(s: SpectralBeta, base_point=(0.0, 0.0), num_samples=512):
     """X_0(u) = base_point + int_0^u beta_0 mu dv, nu_0(u) = (sin nu, -cos nu)."""
     closure = position_increment(s, np.array([2.0 * np.pi]))[0]
-    if np.max(np.abs(closure)) > 1e-10:
+    # pi (a_n, b_n) plus rounding: the n band SpectralBeta admits always closes
+    size = np.sum(np.abs(s.cos_coeffs)) + np.sum(np.abs(s.sin_coeffs))
+    if np.max(np.abs(closure)) > np.pi * N_BAND_TOL + 8.0 * np.finfo(float).eps * size:
         raise NotClosedError(
             f"closure residual {tuple(closure)} is nonzero; beta_0 does not "
             "trace a closed curve"

@@ -98,6 +98,67 @@ def per_mode_scaled_error(s, t, num=1024):
     return float(np.max(np.abs(total)))
 
 
+def bisection_strict_decrease(s, series):
+    """detect_strict_decrease with every drop bisected in t to EVENT_DT, then
+    one Newton solve of beta = d_u beta = 0 in (u, t) from the bracket's
+    midpoint and the angle of the root pair that left the circle at its end
+    (the detector before it solved for the folds directly)."""
+    from legendreflow.cusps import (EVENT_DT, UNIT_CIRCLE_TOL, DecreaseEvent, _count,
+                                    _derivatives, _evolved, _roots, _sup)
+
+    def witness(lo, hi):
+        roots = _roots(_evolved(s, hi)[0])
+        gap = np.abs(np.abs(roots) - 1.0)
+        start = float(np.angle(roots[np.argmin(np.where(gap < UNIT_CIRCLE_TOL, np.inf, gap))]))
+        u, t = start, 0.5 * (lo + hi)
+        with np.errstate(all="ignore"):
+            for _ in range(12):
+                c, _ = _evolved(s, t)
+                b, bt, bu, btu, buu = _derivatives(
+                    c, [u], ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0)),
+                    s.eigenvalues()[: c.shape[0]])[0]
+                det = bu * btu - bt * buu
+                du, dt = (bt * bu - b * btu) / det, (b * buu - bu * bu) / det
+                u, t = u + du, t + dt
+                if abs(du) < 1e-13 and abs(dt) < 1e-13 * max(1.0, t) and lo <= t <= hi:
+                    return float(np.mod(u, 2.0 * np.pi)), float(t)
+        return start % (2.0 * np.pi), 0.5 * (lo + hi)
+
+    events = []
+    for (t_lo, z_lo), (t_hi, z_hi) in zip(series, series[1:]):
+        cur_t, cur_z = t_lo, z_lo
+        while cur_z > z_hi:
+            lo, hi = cur_t, t_hi
+            while hi - lo > EVENT_DT:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if _count(s, mid) < cur_z else (mid, hi)
+            z_after = _count(s, hi)
+            wu, t_event = witness(max(lo - EVENT_DT, t_lo), hi)
+            c, _ = _evolved(s, t_event)
+            wbeta, wdbeta = _derivatives(c, [wu], ((0, 0), (1, 0)))[0] / _sup(c)
+            events.append(DecreaseEvent((float(t_lo), float(t_hi)), float(t_event),
+                                        int(cur_z), int(z_after), wu,
+                                        float(wbeta), float(wdbeta)))
+            cur_t, cur_z = hi, z_after
+    return events
+
+
+@pytest.fixture
+def root_solves(monkeypatch):
+    """The number of companion-matrix solves (cusps._roots calls) so far."""
+    from legendreflow import cusps
+
+    calls = []
+    solve = cusps._roots
+
+    def counted(c):
+        calls.append(c.shape[0])
+        return solve(c)
+
+    monkeypatch.setattr(cusps, "_roots", counted)
+    return calls
+
+
 def sparse_beta_fd(beta0, n, final_time, grid):
     """The beta equation marched with sparse matrices: explicit Euler on the
     3-point periodic Laplacian L, or Crank-Nicolson with the Pade mass

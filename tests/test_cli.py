@@ -202,7 +202,9 @@ class TestNonFiniteOutput:
         ["simulate", "--n", "2", "--mode", "1:1", "--times", "0,1000"],
         # e^{711} times the scaled slope overflows to an infinite dbeta
         ["cusps", "--n", "3", "--mode", "1:1", "--times", "800"],
-    ], ids=["simulate", "simulate-series", "cusps"])
+        # lambda_2 t = -3e308 overflows before the companion matrix is built
+        ["cusps", "--n", "1", "--mode", "2:1", "--times", "1e308"],
+    ], ids=["simulate", "simulate-series", "cusps", "cusps-exponent"])
     def test_refused_with_exit_3(self, tmp_path, capsys, argv):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -243,6 +245,35 @@ class TestNonFiniteInput:
         assert code == 2
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv, config, named", [
+        (["simulate", "--mode", "2:1", "--samples", "0"], None, "--samples"),
+        (["simulate", "--mode", "2:1", "--samples", "3"], None, "--samples"),
+        (["simulate"], {"modes": {"2": 1.0}}, "config modes"),
+        # a two-character string would unpack as a_k, b_k
+        (["simulate"], {"modes": {"2": "12"}}, "config modes"),
+        (["simulate"], [{"modes": {"2": [1.0, 0.0]}}], "config file"),
+    ], ids=["samples-0", "samples-3", "config-mode-scalar", "config-mode-string",
+            "config-list"])
+    def test_rejected_with_exit_2(self, tmp_path, capsys, argv, config, named):
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv = argv + ["--config", str(tmp_path / "config.json")]
+        code = run(argv + ["--outdir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_samples_must_resolve_the_initial_curve(self, tmp_path, capsys):
+        # n + K = 6 needs 13 points; 12 was reported as an inconsistent curve
+        code = run(["simulate", "--n", "1", "--mode", "5:1", "--samples", "12",
+                    "--outdir", str(tmp_path / "out")])
+        assert code == 2 and "--samples" in capsys.readouterr().err
+        assert run(["simulate", "--n", "1", "--mode", "5:1", "--samples", "13",
+                    "--outdir", str(tmp_path / "out")]) == 0
 
 
 def test_import_leaves_out_scipy_optimize():

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import degenerate_zero_near, grid_zero_count, random_closed_spectral
+from conftest import (
+    bisection_strict_decrease,
+    degenerate_zero_near,
+    grid_zero_count,
+    random_closed_spectral,
+)
+from legendreflow import cusps
 from legendreflow.cli import main
 from legendreflow.cusps import (
     detect_strict_decrease,
@@ -172,3 +178,89 @@ class TestWitnessRegressions:
             star = degenerate_zero_near(s, event.witness_u, event.t_event)
             assert star is not None
             assert abs(star[1] - event.t_event) < 1e-4
+
+
+def _event_key(events):
+    return [(e.interval, e.count_before, e.count_after) for e in events]
+
+
+class TestFoldLocator:
+    """detect_strict_decrease solves for the folds by Newton's method and
+    falls back to bisection only for drops the folds do not account for."""
+
+    TIMES = np.geomspace(0.01, 10.0, 30)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_same_events_as_bisection(self, seed):
+        # the distribution of acceptance test 05
+        s = random_closed_spectral(np.random.default_rng(seed), max_truncation=6)
+        series = zero_count_series(s, self.TIMES)
+        events = detect_strict_decrease(s, series)
+        reference = bisection_strict_decrease(s, series)
+        assert _event_key(events) == _event_key(reference)
+        for event, ref in zip(events, reference):
+            assert abs(event.t_event - ref.t_event) <= 1e-13
+
+    def test_nearby_folds_stay_two_events(self):
+        # candidate 1640 of the benchmark pool: two folds 1.87e-6 apart in t
+        s = random_closed_spectral(np.random.default_rng([20251006, 1640]),
+                                   max_truncation=12)
+        series = zero_count_series(s, self.TIMES)
+        late = [e for e in detect_strict_decrease(s, series) if e.interval[0] > 1.0]
+        assert [(e.count_before, e.count_after) for e in late] == [(4, 2), (2, 0)]
+        assert 1e-6 < late[1].t_event - late[0].t_event < 3e-6
+        for event in late:
+            star = degenerate_zero_near(s, event.witness_u, event.t_event)
+            assert abs(star[1] - event.t_event) <= 1e-13
+
+    def test_solve_budget(self, root_solves):
+        # acceptance test 05's draws; bisection to EVENT_DT took about 18 each
+        rng = np.random.default_rng(777)
+        solves = events = 0
+        for _ in range(100):
+            s = random_closed_spectral(rng, max_truncation=6)
+            series = zero_count_series(s, self.TIMES)
+            before = len(root_solves)
+            events += len(detect_strict_decrease(s, series))
+            solves += len(root_solves) - before
+        assert events > 100
+        assert solves <= 4 * events
+
+    def test_bisection_fallback_on_three_zeros_merging(self, monkeypatch):
+        # n = 2, 0.05 cos u + cos 3u: at t = ln(60)/2 three zeros merge at
+        # u = pi/2 and three at 3 pi/2, where the Jacobian is singular
+        s = SpectralBeta.from_modes(2, modes={1: (0.05, 0.0), 3: (1.0, 0.0)})
+        series = zero_count_series(s, [0.5, 3.0])
+        # Newton from the symmetric start stays on u = pi/2 and finds t*
+        newton = detect_strict_decrease(s, series)
+        monkeypatch.setattr(cusps, "_folds", lambda *args: [])
+        bisected = detect_strict_decrease(s, series)
+        assert _event_key(bisected) == _event_key(bisection_strict_decrease(s, series))
+        assert bisected[0].count_before == 6 and bisected[-1].count_after == 2
+        assert _event_key(newton) == [((0.5, 3.0), 6, 2)]
+        for event in newton + bisected:
+            assert abs(event.t_event - np.log(60.0) / 2.0) < 1e-12
+            assert min(abs(event.witness_u - np.pi / 2), abs(event.witness_u - 3 * np.pi / 2)) < 1e-6
+            assert abs(event.witness_beta) < 1e-12 and abs(event.witness_dbeta) < 1e-12
+
+    def test_bisection_fallback_reached_where_newton_misses(self, monkeypatch):
+        # candidate 1477 of the benchmark pool: no Newton start reaches the
+        # fold in (0.221, 0.281), so bisection finds that event
+        s = random_closed_spectral(np.random.default_rng([20251006, 1477]),
+                                   max_truncation=12)
+        series = zero_count_series(s, self.TIMES)
+        bisect, bisected = cusps._bisect, []
+
+        def spy(*args):
+            found = bisect(*args)
+            bisected.extend(found)
+            return found
+
+        monkeypatch.setattr(cusps, "_bisect", spy)
+        events = detect_strict_decrease(s, series)
+        assert _event_key(events) == _event_key(bisection_strict_decrease(s, series))
+        assert len(bisected) == 1 and bisected[0].interval[0] == pytest.approx(0.2212216)
+        for event in events:
+            star = degenerate_zero_near(s, event.witness_u, event.t_event)
+            assert abs(star[1] - event.t_event) <= 1e-13

@@ -211,6 +211,15 @@ class TestReconstruct:
             curve = reconstruct_initial_curve(s, num_samples=512)
             curve.validate()
 
+    @pytest.mark.parametrize("band", [(5e-11, 0.0), (1e-10, -1e-10)])
+    def test_admitted_n_band_reconstructs(self, band):
+        # the closure residual is pi (a_n, b_n); every band SpectralBeta
+        # admits closes, where an absolute 1e-10 refused |a_n| > 3.2e-11
+        s = SpectralBeta.from_modes(1, a0=1.0, modes={1: band})
+        closure = position_increment(s, np.array([2.0 * np.pi]))[0]
+        assert np.max(np.abs(closure - np.pi * np.array(band))) < 1e-15
+        reconstruct_initial_curve(s, num_samples=64).validate()
+
 
 class TestEvolveCurve:
     def test_identity_at_zero(self):
