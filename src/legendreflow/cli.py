@@ -206,7 +206,9 @@ def _cmd_cusps(config: RunConfig):
     outdir.mkdir(parents=True, exist_ok=True)
     report = [{"t": rep.t, "count": rep.count,
                "zeros": [{"u": z.location, "dbeta": z.derivative, "kind": z.kind}
-                         for z in rep.zeros]}
+                         for z in rep.zeros],
+               "certificate": dict(zip(("mode", "margin"), rep.certificate))
+                               if rep.certificate else None}
               for rep in reports]
     json_path = curveio.write_json(outdir / "cusp_report.json", {
         "series": report,

@@ -10,6 +10,16 @@ companion-matrix eigenvalues (Boyd, J. Eng. Math. 56, 2006); d_u and d_t act
 mode-wise as (ik)^p lambda_k^q.  Zero sets ignore positive factors, so the
 largest growth factor is divided out: counts hold at any t.
 
+Most counts need no eigensolve.  Write beta = A cos(j(u - phi)) + R with j
+the mode of largest |c_k| = A, so |R| <= rho0 = sum_{k != j} |c_k| and
+|d_u R| <= rho1 = sum_{k != j} k |c_k|.  If (rho0/A)^2 + (rho1/(jA))^2 < 1,
+take theta with cos(theta) > rho0/A and sin(theta) > rho1/(jA): beta has no
+zero where |cos(j(u - phi))| >= cos(theta), and on each of the other 2j arcs
+it is strictly monotone and changes sign, so z = 2j and every zero is
+simple (rho0 < |c_0| gives z = 0 for j = 0).  The counts of a call that this
+certificate does not settle are solved together: their companion matrices,
+built as np.roots builds them, go to one eigvals call per degree.
+
 A drop of z(t) is located at its fold, where two zeros meet and leave the
 circle as a root pair: Newton's method on beta = d_u beta = 0 in (u, t)
 starts from the angles of the roots off the circle after the drop, and two
@@ -35,6 +45,9 @@ NEGLIGIBLE_MODE = 1e-14         # relative: smaller evolved modes are dropped
 # Folds closer than this in t are one event, certified by counts EVENT_DT/2
 # before the first and after the last; the fallback bisects to it.
 EVENT_DT = 1e-6
+# The dominant-mode certificate settles z(t) when its margin exceeds this,
+# which covers rounding and the modes below NEGLIGIBLE_MODE.
+CERTIFICATE_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -49,6 +62,7 @@ class CuspReport:
     t: float
     zeros: tuple
     scale: float
+    certificate: tuple | None = None  # (j, margin) where mode j certifiably dominates: z = 2j
 
     @property
     def count(self):
@@ -68,20 +82,33 @@ class DecreaseEvent:
     witness_dbeta: float
 
 
+def _evolved_rows(s: SpectralBeta, times):
+    """_evolved at every time at once: (c, rows, shift), row i of c holds the
+    coefficients at times[i] padded with zeros, rows[i] the trimmed row.
+    Raises InvariantViolationError when a shift is not a finite double."""
+    times = np.asarray(times, dtype=float)
+    c0 = s.cos_coeffs - 1j * s.sin_coeffs
+    live = c0 != 0.0
+    lam = s.eigenvalues()[live]
+    top = np.where(times >= 0, lam.max(), lam.min())
+    shift = top * times
+    if not np.isfinite(shift).all():
+        t = times[~np.isfinite(shift)][0]
+        raise InvariantViolationError(f"growth exponent lambda_k t overflows at t = {float(t)!r}")
+    c = np.repeat(c0[None], times.shape[0], axis=0)
+    with np.errstate(over="ignore"):  # (lam - top) t of -inf is a factor of 0
+        c[:, live] *= np.exp((lam - top[:, None]) * times[:, None])
+    mag = np.abs(c)
+    c[mag < NEGLIGIBLE_MODE * mag.max(axis=1, keepdims=True)] = 0.0
+    size = c.shape[1] - (c[:, ::-1] != 0.0).argmax(axis=1)
+    return c, [c[i, :k] for i, k in enumerate(size.tolist())], shift
+
+
 def _evolved(s: SpectralBeta, t):
     """(c, shift), beta(u, t) = e^shift Re sum_k c_k e^{iku}, c_k = (a_k - i b_k)
-    e^{lambda_k t - shift}; shift is the largest lambda_k t of a nonzero mode.
-    Raises InvariantViolationError when shift is not a finite double."""
-    c = s.cos_coeffs - 1j * s.sin_coeffs
-    live = c != 0.0
-    lam = s.eigenvalues()[live]
-    top = lam.max() if t >= 0 else lam.min()
-    if not np.isfinite(top * t):
-        raise InvariantViolationError(f"growth exponent lambda_k t overflows at t = {float(t)!r}")
-    with np.errstate(over="ignore"):  # (lam - top) t of -inf is a factor of 0
-        c[live] *= np.exp((lam - top) * t)
-    c[np.abs(c) < NEGLIGIBLE_MODE * np.max(np.abs(c))] = 0.0
-    return c[: np.flatnonzero(c)[-1] + 1], float(top * t)
+    e^{lambda_k t - shift}; shift is the largest lambda_k t of a nonzero mode."""
+    _, rows, shift = _evolved_rows(s, [t])
+    return rows[0], float(shift[0])
 
 
 def _derivatives(c, u, orders, lam=None):
@@ -96,10 +123,43 @@ def _sup(c):
     return float(np.max(np.abs(_series(c, max(2048, 32 * c.shape[0])))))
 
 
-def _roots(c):
-    """The 2K roots of z^K beta, whose coefficients from the top degree down
-    are c_K/2 .. c_1/2, c_0, conj(c_1)/2 .. conj(c_K)/2."""
-    return np.roots(np.concatenate([0.5 * c[:0:-1], [c[0].real], 0.5 * np.conj(c[1:])]))
+def _certificates(c):
+    """(j, margin) per row of c: j = argmax |c_k| and, with A = |c_j|,
+    rho0 = sum_{k != j} |c_k| and rho1 = sum_{k != j} k |c_k|, the margin is
+    1 - (rho0/A)^2 - (rho1/(jA))^2 (1 - rho0/A for j = 0).  A positive
+    margin proves z = 2j with every zero simple; see _counts."""
+    mag = np.abs(c)
+    rows = np.arange(c.shape[0])
+    j = np.argmax(mag, axis=1)
+    top = mag[rows, j]
+    mag[rows, j] = 0.0
+    rho0, rho1 = mag.sum(axis=1) / top, (mag * np.arange(c.shape[1])).sum(axis=1) / top
+    return j, np.where(j > 0, 1.0 - (rho0 ** 2 + (rho1 / np.maximum(j, 1)) ** 2), 1.0 - rho0)
+
+
+def _roots(rows):
+    """The 2K roots of z^K beta for each trimmed row c, whose coefficients from
+    the top degree down are c_K/2 .. c_1/2, c_0, conj(c_1)/2 .. conj(c_K)/2:
+    the eigenvalues of the companion matrices np.roots builds, bitwise its
+    roots, from one eigvals call per degree."""
+    out, groups = [np.empty(0, complex)] * len(rows), {}
+    for i, c in enumerate(rows):
+        groups.setdefault(c.shape[0], []).append(i)
+    for size, index in groups.items():
+        if size == 1:
+            continue  # a constant: no roots
+        c = np.array([rows[i] for i in index])
+        # an exact power-of-two rescale, which leaves the quotients below as
+        # they are, keeps them finite when every coefficient is tiny
+        up = np.maximum(0, -np.frexp(np.abs(c).max(axis=1))[1])
+        c = np.ldexp(c.view(float), up[:, None]).view(complex)
+        p = np.concatenate([0.5 * c[:, :0:-1], c[:, :1].real, 0.5 * np.conj(c[:, 1:])], axis=1)
+        companion = np.zeros((len(index), 2 * size - 2, 2 * size - 2), complex)
+        companion[:, 1:, :-1] = np.eye(2 * size - 3)
+        companion[:, 0] = -p[:, 1:] / p[:, :1]
+        for i, roots in zip(index, np.linalg.eigvals(companion)):
+            out[i] = roots
+    return out
 
 
 def _circle_zeros(roots):
@@ -114,8 +174,44 @@ def _circle_zeros(roots):
     return np.mod(np.angle(centre), 2.0 * np.pi), np.bincount(label) > 1
 
 
-def _count(s, t):  # z(t) from the roots and the circle test alone
-    return _circle_zeros(_roots(_evolved(s, t)[0]))[0].shape[0]
+def _counts(s, times):
+    """z(t) at every time: 2j where the certificate of mode j holds, and
+    otherwise from the roots and the circle test, all uncertified rows
+    solved as one stack per degree."""
+    c, rows, _ = _evolved_rows(s, times)
+    mode, margin = _certificates(c)
+    counts = 2 * mode
+    open_ = np.flatnonzero(margin <= CERTIFICATE_MARGIN)
+    for i, roots in zip(open_, _roots([rows[i] for i in open_])):
+        counts[i] = _circle_zeros(roots)[0].shape[0]
+    return [int(z) for z in counts]
+
+
+def _count(s, t):
+    return _counts(s, [t])[0]
+
+
+def _reports(s, times):
+    """find_zeros at every time, the companion matrices solved as one stack per degree."""
+    c, rows, shift = _evolved_rows(s, times)
+    mode, margin = _certificates(c)
+    reports = []
+    for t, row, h, roots, j, m in zip(times, rows, shift, _roots(rows), mode, margin):
+        u, merged = _circle_zeros(roots)
+        for _ in range(2):
+            d = _derivatives(row, u, ((0, 0), (1, 0), (2, 0)))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(merged, d[:, 1] / d[:, 2], d[:, 0] / d[:, 1])
+            # a root is already within sqrt(eps); a longer step would leave its zero
+            u = np.mod(u - np.where(np.abs(step) < UNIT_CIRCLE_TOL, step, 0.0), 2.0 * np.pi)
+        u = np.sort(u)
+        slope, scale = _derivatives(row, u, ((1, 0),))[:, 0], _sup(row)
+        zeros = tuple(Zero(float(r), float(np.exp(h) * d),
+                           "simple_cusp" if abs(d) > DERIVATIVE_THRESHOLD * scale else "degenerate")
+                      for r, d in zip(u, slope))
+        certificate = (int(j), float(m)) if m > CERTIFICATE_MARGIN else None
+        reports.append(CuspReport(float(t), zeros, float(np.exp(h) * scale), certificate))
+    return reports
 
 
 def find_zeros(s: SpectralBeta, t) -> CuspReport:
@@ -123,20 +219,7 @@ def find_zeros(s: SpectralBeta, t) -> CuspReport:
     (on d_u beta for a merged double root) and classified."""
     if t < 0:
         raise ValidationError(f"time must be >= 0, got {t}")
-    c, shift = _evolved(s, t)
-    u, merged = _circle_zeros(_roots(c))
-    for _ in range(2):
-        d = _derivatives(c, u, ((0, 0), (1, 0), (2, 0)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(merged, d[:, 1] / d[:, 2], d[:, 0] / d[:, 1])
-        # a root is already within sqrt(eps); a longer step would leave its zero
-        u = np.mod(u - np.where(np.abs(step) < UNIT_CIRCLE_TOL, step, 0.0), 2.0 * np.pi)
-    u = np.sort(u)
-    slope, scale = _derivatives(c, u, ((1, 0),))[:, 0], _sup(c)
-    zeros = tuple(Zero(float(r), float(np.exp(shift) * d),
-                       "simple_cusp" if abs(d) > DERIVATIVE_THRESHOLD * scale else "degenerate")
-                  for r, d in zip(u, slope))
-    return CuspReport(t=float(t), zeros=zeros, scale=float(np.exp(shift) * scale))
+    return _reports(s, [t])[0]
 
 
 def _time_grid(times):
@@ -160,12 +243,13 @@ def zero_count_series(s: SpectralBeta, times):
     Raises InvariantViolationError if the count ever increases -- that would
     contradict the zero-number monotonicity of the flow.
     """
-    return _monotone([(float(t), _count(s, t)) for t in _time_grid(times)])
+    times = _time_grid(times)
+    return _monotone([(float(t), z) for t, z in zip(times, _counts(s, times))])
 
 
 def report_series(s: SpectralBeta, times):
     """find_zeros at every time of the grid, checked like zero_count_series."""
-    reports = [find_zeros(s, t) for t in _time_grid(times)]
+    reports = _reports(s, _time_grid(times))
     _monotone([(r.t, r.count) for r in reports])
     return reports
 
@@ -200,16 +284,15 @@ def _refine_witness(s, u, t, lo, hi):
     return float(np.mod(best[0], 2.0 * np.pi)), float(best[1])
 
 
-def _folds(s, lo, hi, pairs):
+def _folds(s, lo, hi, pairs, roots):
     """Degenerate zeros (u, t) with lo < t < hi at distinct times, sorted by t.
 
     A zero pair lost at a fold leaves the circle as a root pair z, 1/conj(z)
     at the fold's angle, so Newton on beta = d_u beta = 0 in (u, t) starts
-    from the angle of every root outside the circle at hi, at t = lo,
+    from the angle of every root outside the circle at hi (roots), at t = lo,
     (lo + hi)/2 and hi.  All starts run as one array iteration, which stops
     once the folds of the given number of lost pairs are found; each fold is
     then polished by _refine_witness."""
-    roots = _roots(_evolved(s, hi)[0])
     u = np.tile(np.angle(roots[np.abs(roots) > 1.0 + UNIT_CIRCLE_TOL]), 3)
     t = np.repeat([lo, 0.5 * (lo + hi), hi], u.shape[0] // 3)
     c0, lam = s.cos_coeffs - 1j * s.sin_coeffs, s.eigenvalues()
@@ -256,7 +339,7 @@ def _bisect(s, t_lo, t_hi, z_hi, cur_t, cur_z):
         # the count drops a little after the fold, at UNIT_CIRCLE_TOL off the
         # circle; a fold before cur_t belongs to an event already reported
         lo = max(lo - EVENT_DT, cur_t)
-        roots = _roots(_evolved(s, hi)[0])
+        roots = _roots([_evolved(s, hi)[0]])[0]
         gap = np.abs(np.abs(roots) - 1.0)
         start = float(np.mod(np.angle(roots[np.argmin(
             np.where(gap < UNIT_CIRCLE_TOL, np.inf, gap))]), 2.0 * np.pi))
@@ -280,26 +363,29 @@ def detect_strict_decrease(s: SpectralBeta, series):
     start reaches, or one the counts do not certify) is bracketed by
     bisection in t instead (_bisect).
     """
+    drops = [(t_lo, z_lo, t_hi, z_hi)
+             for (t_lo, z_lo), (t_hi, z_hi) in zip(series, series[1:]) if z_hi < z_lo]
+    ends = _roots(_evolved_rows(s, [drop[2] for drop in drops])[1])
     events = []
-    for (t_lo, z_lo), (t_hi, z_hi) in zip(series, series[1:]):
-        if z_hi >= z_lo:
-            continue
+    for (t_lo, z_lo, t_hi, z_hi), roots in zip(drops, ends):
         groups = []  # [t of the first fold, u and t of the last]
-        for u, t in _folds(s, t_lo, t_hi, (z_lo - z_hi) // 2):
+        for u, t in _folds(s, t_lo, t_hi, (z_lo - z_hi) // 2, roots):
             if groups and t - groups[-1][2] < EVENT_DT:
                 groups[-1][1:] = [u, t]
             else:
                 groups.append([t, u, t])
+        # the certifying counts, the series' own z_hi past the interval's end
+        after = [t_event + 0.5 * EVENT_DT for _, _, t_event in groups]
+        inside = [a for a in after if a < t_hi]
+        probes = _counts(s, [t0 - 0.5 * EVENT_DT for t0, _, _ in groups] + inside)
+        z_before = probes[: len(groups)]
+        z_after = probes[len(groups):] + [z_hi] * (len(after) - len(inside))
         cur_t, cur_z = t_lo, z_lo
-        for t0, wu, t_event in groups:
-            if cur_z == z_hi or _count(s, t0 - 0.5 * EVENT_DT) != cur_z:
+        for (_, wu, t_event), zb, za, a in zip(groups, z_before, z_after, after):
+            if cur_z == z_hi or zb != cur_z or za >= cur_z:
                 break
-            after = t_event + 0.5 * EVENT_DT
-            z_after = z_hi if after >= t_hi else _count(s, after)
-            if z_after >= cur_z:
-                break
-            events.append(_event(s, (t_lo, t_hi), t_event, cur_z, z_after, wu))
-            cur_t, cur_z = after, z_after
+            events.append(_event(s, (t_lo, t_hi), t_event, cur_z, za, wu))
+            cur_t, cur_z = a, za
         events += _bisect(s, t_lo, t_hi, z_hi, cur_t, cur_z)
     return events
 

@@ -98,16 +98,22 @@ def per_mode_scaled_error(s, t, num=1024):
     return float(np.max(np.abs(total)))
 
 
+def companion_roots(c):
+    """The 2K roots of z^K beta for one trimmed coefficient row c by np.roots
+    (the per-row solve before the companion matrices were stacked)."""
+    return np.roots(np.concatenate([0.5 * c[:0:-1], [c[0].real], 0.5 * np.conj(c[1:])]))
+
+
 def bisection_strict_decrease(s, series):
     """detect_strict_decrease with every drop bisected in t to EVENT_DT, then
     one Newton solve of beta = d_u beta = 0 in (u, t) from the bracket's
     midpoint and the angle of the root pair that left the circle at its end
     (the detector before it solved for the folds directly)."""
     from legendreflow.cusps import (EVENT_DT, UNIT_CIRCLE_TOL, DecreaseEvent, _count,
-                                    _derivatives, _evolved, _roots, _sup)
+                                    _derivatives, _evolved, _sup)
 
     def witness(lo, hi):
-        roots = _roots(_evolved(s, hi)[0])
+        roots = companion_roots(_evolved(s, hi)[0])
         gap = np.abs(np.abs(roots) - 1.0)
         start = float(np.angle(roots[np.argmin(np.where(gap < UNIT_CIRCLE_TOL, np.inf, gap))]))
         u, t = start, 0.5 * (lo + hi)
@@ -145,15 +151,16 @@ def bisection_strict_decrease(s, series):
 
 @pytest.fixture
 def root_solves(monkeypatch):
-    """The number of companion-matrix solves (cusps._roots calls) so far."""
+    """The companion matrices solved so far, one entry (the row's length K + 1)
+    per row of every stack passed to cusps._roots."""
     from legendreflow import cusps
 
     calls = []
     solve = cusps._roots
 
-    def counted(c):
-        calls.append(c.shape[0])
-        return solve(c)
+    def counted(rows):
+        calls.extend(c.shape[0] for c in rows)
+        return solve(rows)
 
     monkeypatch.setattr(cusps, "_roots", counted)
     return calls

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import legendreflow
 from legendreflow.cli import main
@@ -126,6 +128,44 @@ class TestCusps:
         report = json.loads((tmp_path / "cusp_report.json").read_text())
         assert len(report["events"]) == 1
         assert abs(report["events"][0]["t_event"] - np.log(100.0) / 4.0) < 1e-3
+
+    def test_certificate_of_a_pure_mode(self, tmp_path):
+        code = run(["cusps", "--mode", "2:1", "--outdir", str(tmp_path)])
+        assert code == 0
+        series = json.loads((tmp_path / "cusp_report.json").read_text())["series"]
+        assert len(series) == 30
+        for entry in series:
+            assert entry["count"] == 4
+            assert entry["certificate"] == {"mode": 2, "margin": 1.0}
+
+    def test_no_certificate_while_modes_compete(self, tmp_path):
+        code = run(["cusps", "--a0", "0.01", "--mode", "2:1", "--mode", "3:1",
+                    "--times", "0.01", "--outdir", str(tmp_path)])
+        assert code == 0
+        [entry] = json.loads((tmp_path / "cusp_report.json").read_text())["series"]
+        assert entry["certificate"] is None
+        assert entry["count"] == 4
+
+    @given(st.integers(1, 3),
+           st.dictionaries(st.integers(1, 12),
+                           st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), max_size=12),
+           st.floats(1e-12, 1e3),
+           st.lists(st.floats(0.0, 1e308), min_size=1, max_size=4, unique=True))
+    @settings(max_examples=30, deadline=None)
+    def test_fuzz_exit_codes_and_finite_json(self, n, modes, scale, times):
+        # magnitudes up to 1e3: coefficients in [-1, 1] times scale
+        argv = ["cusps", "--n", str(n), "--times", ",".join(map(repr, sorted(times)))]
+        for k, (a, b) in modes.items():
+            argv += ["--mode", f"{k}:{a * scale!r}:{b * scale!r}"]
+
+        def refuse(constant):
+            raise ValueError(f"non-finite {constant} written")
+
+        with tempfile.TemporaryDirectory() as outdir:
+            code = run(argv + ["--outdir", outdir])
+            assert code in (0, 2, 3)
+            for path in Path(outdir).rglob("*.json"):
+                json.loads(path.read_text(), parse_constant=refuse)
 
 
 class TestConverge:

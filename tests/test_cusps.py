@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     bisection_strict_decrease,
+    companion_roots,
     degenerate_zero_near,
     grid_zero_count,
     random_closed_spectral,
@@ -59,6 +60,68 @@ class TestFindZeros:
         s = SpectralBeta.from_modes(1, a0=1.0)
         with pytest.raises(ValidationError):
             find_zeros(s, -1.0)
+
+
+def _beta0(kind, seed):
+    """A beta_0 of acceptance test 05's distribution, a pure mode or two modes."""
+    rng = np.random.default_rng(seed)
+    if kind == "test05":
+        return random_closed_spectral(rng, max_truncation=6)
+    n = int(rng.integers(1, 4))
+    ks = rng.choice([k for k in range(9) if k != n], size=1 if kind == "pure" else 2,
+                    replace=False)
+    modes = {int(k): tuple(rng.normal(size=2)) for k in ks}
+    a0 = modes.pop(0, (0.0,))[0]
+    return SpectralBeta.from_modes(n, a0=a0, modes=modes)
+
+
+class TestStackedSolve:
+    """Counts are settled by the dominant-mode certificate where it holds and
+    by stacked companion solves elsewhere."""
+
+    def test_roots_bitwise_equal_to_np_roots(self):
+        # n = 1: mode 5 (rate -25 against the mean mode) falls below
+        # NEGLIGIBLE_MODE after t = 1.35, mode 2 (rate -4) after t = 8.4:
+        # the rows of one stack trim to lengths 6, 3 and 1 (no roots)
+        s = SpectralBeta.from_modes(1, a0=0.3, modes={2: (1.0, 0.5), 5: (0.7, -1.0)})
+        rows = cusps._evolved_rows(s, [0.1, 0.5, 2.0, 4.0, 10.0])[1]
+        assert [row.shape[0] for row in rows] == [6, 6, 3, 3, 1]
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            s = random_closed_spectral(rng, max_truncation=12)
+            rows += cusps._evolved_rows(s, np.geomspace(0.01, 10.0, 7))[1]
+        assert len({row.shape[0] for row in rows}) >= 8
+        for row, roots in zip(rows, cusps._roots(rows)):
+            reference = companion_roots(row)
+            assert roots.shape == reference.shape
+            assert np.array_equal(roots, reference)
+
+    @given(st.sampled_from(["test05", "pure", "two-mode"]), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 5.0))
+    @settings(max_examples=80, deadline=None)
+    def test_certified_count_is_exact(self, kind, seed, t):
+        s = _beta0(kind, seed)
+        c, [row], _ = cusps._evolved_rows(s, [t])
+        mode, margin = cusps._certificates(c)
+        exact = cusps._circle_zeros(companion_roots(row))[0].shape[0]
+        assert cusps._count(s, t) == exact
+        report = find_zeros(s, t)
+        if margin[0] <= cusps.CERTIFICATE_MARGIN:
+            assert report.certificate is None
+            return
+        assert report.certificate == (mode[0], margin[0])
+        assert exact == 2 * mode[0] == grid_zero_count(s, t)
+        assert report.count == 2 * mode[0]
+        assert all(z.kind == "simple_cusp" for z in report.zeros)
+
+    def test_series_matches_report_series(self):
+        rng = np.random.default_rng(11)
+        times = np.geomspace(0.01, 10.0, 30)
+        for _ in range(10):
+            s = random_closed_spectral(rng, max_truncation=12)
+            reports = cusps.report_series(s, times)
+            assert zero_count_series(s, times) == [(r.t, r.count) for r in reports]
+            assert reports == [find_zeros(s, t) for t in times]
 
 
 class TestZeroCountSeries:
@@ -157,6 +220,26 @@ class TestLargeTime:
         assert np.max(np.abs(np.array(locs) - np.pi / 4 * np.array([1, 3, 5, 7]))) < 1e-12
 
 
+class TestTinyCoefficients:
+    """np.roots divides by the top coefficient, and below about 1e-308 its
+    reciprocal overflows: the companion matrix held NaN, a LinAlgError."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-310])
+    def test_four_zeros_of_a_tiny_mode(self, scale):
+        # mode 3 decays to a subnormal relative size before it is trimmed
+        s = SpectralBeta.from_modes(1, modes={2: (scale, 0.0), 3: (0.1 * scale, 0.0)})
+        times = np.geomspace(0.01, 10.0, 30)
+        assert [r.count for r in cusps.report_series(s, times)] == [4] * 30
+        assert [z for _, z in zero_count_series(s, times)] == [4] * 30
+
+    def test_cli_exits_0(self, tmp_path):
+        code = main(["cusps", "--mode", "2:1e-310", "--mode", "3:1e-311",
+                     "--outdir", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "cusp_report.json").read_text())
+        assert {entry["count"] for entry in report["series"]} == {4}
+
+
 class TestWitnessRegressions:
     """Random closed beta_0 (n <= 3, K <= 12) drawn from rng([20251006, index])
     whose witness once stepped to t < 0 (2606), stopped at a local minimum of
@@ -226,6 +309,13 @@ class TestFoldLocator:
             solves += len(root_solves) - before
         assert events > 100
         assert solves <= 4 * events
+
+    def test_series_solve_budget(self, root_solves):
+        # acceptance test 05's draws: certified times need no companion solve
+        rng = np.random.default_rng(777)
+        for _ in range(100):
+            zero_count_series(random_closed_spectral(rng, max_truncation=6), self.TIMES)
+        assert len(root_solves) <= 20 * 100
 
     def test_bisection_fallback_on_three_zeros_merging(self, monkeypatch):
         # n = 2, 0.05 cos u + cos 3u: at t = ln(60)/2 three zeros merge at
