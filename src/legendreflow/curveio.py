@@ -1,8 +1,13 @@
 """CSV / SVG / manifest emission.
 
-Curve sample exchange format: CSV with header ``u,x,y,nu_x,nu_y`` and
-optional ``beta,ell`` and ``t`` columns, one row per grid point, full
-double precision (shortest round-trip representation).
+Curve sample exchange format, byte for byte: a header line
+``u,x,y,nu_x,nu_y`` with optional ``beta,ell`` and ``t`` columns, then one
+row per uniform grid point.  Fields are separated by a comma with no
+padding, each value is the shortest string that round-trips the double
+(Python's ``repr``, e.g. ``-0.0``, ``5e-324``, ``1e+308``), and every line,
+the last included, ends in CR LF.  Non-finite values are never written.
+The reader parses with ``csv.reader`` and refuses ragged rows and
+non-numeric, empty or non-finite cells.
 """
 
 from __future__ import annotations
@@ -16,10 +21,6 @@ import numpy as np
 
 from .curves import LegendreCurve, uniform_grid
 from .errors import InvariantViolationError, ValidationError
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def write_json(path, data, sort_keys=False):
@@ -48,23 +49,17 @@ def write_curve_csv(path, curve: LegendreCurve, curvature=None, t=None):
     path = Path(path)
     check_finite(path.name, curve, curvature, t)
     header = ["u", "x", "y", "nu_x", "nu_y"]
+    columns = [curve.grid, curve.positions, curve.normals]
     if curvature is not None:
         header += ["beta", "ell"]
+        columns += [curvature.beta, curvature.ell]
     if t is not None:
         header += ["t"]
-    u = curve.grid
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for j in range(curve.grid_size):
-            row = [_fmt(u[j]),
-                   _fmt(curve.positions[j, 0]), _fmt(curve.positions[j, 1]),
-                   _fmt(curve.normals[j, 0]), _fmt(curve.normals[j, 1])]
-            if curvature is not None:
-                row += [_fmt(curvature.beta[j]), _fmt(curvature.ell[j])]
-            if t is not None:
-                row += [_fmt(t)]
-            writer.writerow(row)
+        columns.append(np.full(curve.grid_size, float(t)))
+    table = np.column_stack(columns)
+    lines = [",".join(header)]
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
+    path.write_text("\r\n".join(lines) + "\r\n", newline="")
     return path
 
 
@@ -72,43 +67,47 @@ def read_curve_csv(path):
     """Load a curve CSV; returns (LegendreCurve, extras dict).
 
     extras may hold 'beta', 'ell' arrays and 't' when those columns exist.
+    Every cell must be a finite number; anything else raises ValidationError.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty curve CSV") from None
-        required = ["u", "x", "y", "nu_x", "nu_y"]
-        if header[: len(required)] != required:
+    try:
+        with path.open(newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: unreadable curve CSV: {exc}") from None
+    if not rows:
+        raise ValidationError(f"{path}: empty curve CSV")
+    header, rows = rows[0], rows[1:]
+    required = ["u", "x", "y", "nu_x", "nu_y"]
+    if header[: len(required)] != required:
+        raise ValidationError(
+            f"{path}: expected columns {required}, got {header[:5]}")
+    for index, row in enumerate(rows):
+        if len(row) != len(header):
             raise ValidationError(
-                f"{path}: expected columns {required}, got {header[:5]}")
-        columns = {name: [] for name in header}
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValidationError(f"{path}: ragged row {row}")
-            for name, value in zip(header, row):
-                columns[name].append(float(value))
-    num = len(columns["u"])
+                f"{path}: ragged row: sample {index} has {len(row)} cells, "
+                f"the header {len(header)}")
+    num = len(rows)
     if num < 3:
         raise ValidationError(f"{path}: need at least 3 samples, got {num}")
-    expected_u = uniform_grid(num)
-    if np.max(np.abs(np.asarray(columns["u"]) - expected_u)) > 1e-9:
+    try:
+        table = np.array(rows, dtype=float)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: non-numeric cell: {exc}") from None
+    if not np.isfinite(table).all():
+        row, col = np.argwhere(~np.isfinite(table))[0]
+        raise ValidationError(
+            f"{path}: non-finite {header[col]} in sample {row}: {rows[row][col]!r}")
+    columns = dict(zip(header, table.T.copy()))  # contiguous column arrays
+    if np.max(np.abs(columns["u"] - uniform_grid(num))) > 1e-9:
         raise ValidationError(f"{path}: u column is not the uniform periodic grid")
     curve = LegendreCurve(
         positions=np.stack([columns["x"], columns["y"]], axis=-1),
         normals=np.stack([columns["nu_x"], columns["nu_y"]], axis=-1),
     )
-    extras = {}
-    if "beta" in columns:
-        extras["beta"] = np.asarray(columns["beta"])
-    if "ell" in columns:
-        extras["ell"] = np.asarray(columns["ell"])
+    extras = {name: columns[name] for name in ("beta", "ell") if name in columns}
     if "t" in columns:
-        extras["t"] = columns["t"][0]
+        extras["t"] = float(columns["t"][0])
     return curve, extras
 
 
@@ -132,7 +131,8 @@ def render_svg(points, stroke="#1a1a8c", width=640):
     stroke_width = 0.004 * float(np.max(size))
     # SVG y grows downward; flip the vertical axis
     top = lo[1] + size[1]
-    coords = " ".join(f"{x:.6f},{lo[1] + (top - y):.6f}" for x, y in points)
+    flipped = lo[1] + (top - points[:, 1])
+    coords = " ".join(map("{:.6f},{:.6f}".format, points[:, 0].tolist(), flipped.tolist()))
     height = int(round(width * size[1] / size[0]))
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'

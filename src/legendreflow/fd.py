@@ -167,6 +167,9 @@ def solve_phi_fd(state0: PhiState, ell_field, final_time, grid: FDGrid,
     trajectory = PhiTrajectory()
     trajectory.record(0.0, PhiState(periodic_part=part.copy()))
 
+    # periodic neighbours j + 1 and j - 1 of every sample
+    nxt = np.roll(np.arange(num), -1)
+    prv = np.roll(np.arange(num), 1)
     dt = grid.dt
     t = 0.0
     halvings = 0
@@ -174,13 +177,13 @@ def solve_phi_fd(state0: PhiState, ell_field, final_time, grid: FDGrid,
     while t < final_time - 1e-14:
         dt_step = min(dt, final_time - t)
         phi = u + part
-        grad = 1.0 + (np.roll(part, -1) - np.roll(part, 1)) / (2.0 * du)
-        second = (np.roll(part, -1) - 2.0 * part + np.roll(part, 1)) / (du * du)
+        grad = 1.0 + (part[nxt] - part[prv]) / (2.0 * du)
+        second = (part[nxt] - 2.0 * part + part[prv]) / (du * du)
         ell = np.asarray(ell_field(phi, t), dtype=float)
         rate = second / (grad * grad * ell * ell) - forcing(phi, t)
         candidate = part + dt_step * rate
-        new_grad = 1.0 + (np.roll(candidate, -1) - np.roll(candidate, 1)) / (2.0 * du)
-        if np.any(new_grad <= 0.0):
+        new_grad = 1.0 + (candidate[nxt] - candidate[prv]) / (2.0 * du)
+        if (new_grad <= 0.0).any():
             halvings += 1
             if halvings > 10:
                 raise LegendreFlowError(

@@ -194,3 +194,93 @@ def sparse_beta_fd(beta0, n, final_time, grid):
     for _ in range(steps):
         beta = lhs(rhs_op @ beta)
     return beta
+
+
+def csv_writer_curve(path, curve, curvature=None, t=None):
+    """write_curve_csv row by row through csv.writer with repr(float(x)) cells
+    (the writer before the table was formatted in one pass)."""
+    import csv
+
+    header = ["u", "x", "y", "nu_x", "nu_y"]
+    if curvature is not None:
+        header += ["beta", "ell"]
+    if t is not None:
+        header += ["t"]
+    u = curve.grid
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for j in range(curve.grid_size):
+            row = [u[j], curve.positions[j, 0], curve.positions[j, 1],
+                   curve.normals[j, 0], curve.normals[j, 1]]
+            if curvature is not None:
+                row += [curvature.beta[j], curvature.ell[j]]
+            if t is not None:
+                row += [t]
+            writer.writerow([repr(float(x)) for x in row])
+    return path
+
+
+def per_point_render_svg(points, stroke="#1a1a8c", width=640):
+    """render_svg with the vertical flip and the formatting done point by point
+    on numpy scalars (the renderer before the flip was one array operation)."""
+    points = np.asarray(points, dtype=float)
+    lo = points.min(axis=0)
+    span = points.max(axis=0) - lo
+    margin = 0.05 * np.max(span)
+    lo = lo - margin
+    size = span + 2.0 * margin
+    stroke_width = 0.004 * float(np.max(size))
+    top = lo[1] + size[1]
+    coords = " ".join(f"{x:.6f},{lo[1] + (top - y):.6f}" for x, y in points)
+    height = int(round(width * size[1] / size[0]))
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" '
+        f'viewBox="{lo[0]:.6f} {lo[1]:.6f} {size[0]:.6f} {size[1]:.6f}">\n'
+        f'  <polygon points="{coords}" fill="none" stroke="{stroke}" '
+        f'stroke-width="{stroke_width:.6f}" stroke-linejoin="round"/>\n'
+        "</svg>\n"
+    )
+
+
+def roll_phi_fd(state0, ell_field, final_time, grid, forcing=None, record_every=10):
+    """solve_phi_fd with every stencil neighbour taken by np.roll (the stepper
+    before the neighbour indices were built once); returns the trajectory and
+    the number of step halvings."""
+    from legendreflow.errors import LegendreFlowError
+    from legendreflow.fd import PhiState, PhiTrajectory
+
+    if forcing is None:
+        forcing = lambda u, t: np.zeros_like(u)
+    du = grid.du
+    part = state0.periodic_part.copy()
+    u = uniform_grid(state0.num_points)
+    trajectory = PhiTrajectory()
+    trajectory.record(0.0, PhiState(periodic_part=part.copy()))
+    dt = grid.dt
+    t = 0.0
+    halvings = 0
+    step_index = 0
+    while t < final_time - 1e-14:
+        dt_step = min(dt, final_time - t)
+        phi = u + part
+        grad = 1.0 + (np.roll(part, -1) - np.roll(part, 1)) / (2.0 * du)
+        second = (np.roll(part, -1) - 2.0 * part + np.roll(part, 1)) / (du * du)
+        ell = np.asarray(ell_field(phi, t), dtype=float)
+        rate = second / (grad * grad * ell * ell) - forcing(phi, t)
+        candidate = part + dt_step * rate
+        new_grad = 1.0 + (np.roll(candidate, -1) - np.roll(candidate, 1)) / (2.0 * du)
+        if np.any(new_grad <= 0.0):
+            halvings += 1
+            if halvings > 10:
+                raise LegendreFlowError("d_u phi lost positivity after 10 step halvings")
+            dt *= 0.5
+            continue
+        part = candidate
+        t += dt_step
+        step_index += 1
+        if step_index % record_every == 0 or t >= final_time - 1e-14:
+            trajectory.record(t, PhiState(periodic_part=part.copy()))
+    return trajectory, halvings

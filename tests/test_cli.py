@@ -1,5 +1,8 @@
 """End-to-end CLI runs: exit codes, artifacts, manifests, determinism."""
 
+import contextlib
+import functools
+import io
 import json
 import os
 import subprocess
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import legendreflow
+from conftest import csv_writer_curve, per_point_render_svg
 from legendreflow.cli import main
 from legendreflow.curveio import (
     read_curve_csv,
@@ -21,9 +25,14 @@ from legendreflow.curveio import (
     write_curve_csv,
     write_json,
 )
-from legendreflow.curves import LegendreCurvature, LegendreCurve, uniform_grid
+from legendreflow.curves import (
+    LegendreCurvature,
+    LegendreCurve,
+    curvature_from_samples,
+    uniform_grid,
+)
 from legendreflow.errors import InvariantViolationError, ValidationError
-from legendreflow.spectral import SpectralBeta, reconstruct_centered_curve
+from legendreflow.spectral import SpectralBeta, evolve_beta, reconstruct_centered_curve
 
 
 def run(argv):
@@ -168,6 +177,65 @@ class TestCusps:
                 json.loads(path.read_text(), parse_constant=refuse)
 
 
+@functools.cache
+def _valid_curve_rows():
+    """Header and rows of a 64-sample curve CSV with beta, ell and t columns."""
+    s = SpectralBeta.from_modes(1, a0=0.05, modes={2: (1.0, -0.3), 3: (0.2, 0.1)})
+    curve = reconstruct_centered_curve(s, 64)
+    curvature = LegendreCurvature(ell=np.ones(64), beta=evolve_beta(s, 0.0, curve.grid))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_curve_csv(Path(tmp) / "c.csv", curve, curvature, t=0.0)
+        return [line.split(",") for line in path.read_text().splitlines()]
+
+
+def _finite_artifacts(outdir):
+    def refuse(constant):
+        raise ValueError(f"non-finite {constant} written")
+
+    for path in Path(outdir).rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=refuse)
+    for path in Path(outdir).rglob("*.csv"):
+        values = [float(v) for line in path.read_text().splitlines()[1:]
+                  for v in line.split(",")]
+        assert np.isfinite(values).all(), path.name
+
+
+class TestCurveInputFuzz:
+    @given(st.sampled_from(["word", "nan", "inf", "-inf", "empty", "padded",
+                            "extra-cell", "missing-cell", "drop-row", "duplicate-row"]),
+           st.integers(0, 63), st.integers(0, 7))
+    @settings(max_examples=30, deadline=None)
+    def test_fuzz_exit_codes_and_finite_artifacts(self, kind, row, col):
+        rows = [list(r) for r in _valid_curve_rows()]
+        cells = rows[1 + row]
+        corrupt = {"word": "abc", "nan": "nan", "inf": "inf", "-inf": "-inf", "empty": "",
+                   "padded": f"  {cells[col]} "}
+        if kind in corrupt:
+            cells[col] = corrupt[kind]
+        elif kind == "extra-cell":
+            cells.append("0.0")
+        elif kind == "missing-cell":
+            del cells[col]
+        elif kind == "drop-row":
+            del rows[1 + row]
+        else:
+            rows.insert(1 + row, list(cells))
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "in.csv"
+            src.write_text("".join(",".join(r) + "\r\n" for r in rows), newline="")
+            for argv in (["reparam"], ["simulate", "--times", "0,0.5"],
+                         ["cusps", "--times", "0.1,0.5,1"], ["converge"]):
+                outdir = Path(tmp) / argv[0]
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = run(argv + ["--curve", str(src), "--outdir", str(outdir)])
+                assert code in (0, 2, 3), (argv, code, err.getvalue())
+                assert "Traceback" not in err.getvalue()
+                if code != 0:
+                    assert not outdir.exists()
+                _finite_artifacts(outdir)
+
+
 class TestConverge:
     def test_two_mode_rate(self, tmp_path):
         code = run(["converge", "--n", "1", "--mode", "2:1", "--mode", "4:0.1",
@@ -211,10 +279,31 @@ class TestCurveIO:
     def test_round_trip_preserves_bits(self, tmp_path):
         s = SpectralBeta.from_modes(1, modes={2: (1.0, -0.3)})
         curve = reconstruct_centered_curve(s, 128)
-        path = write_curve_csv(tmp_path / "c.csv", curve)
-        loaded, _ = read_curve_csv(path)
+        curvature = curvature_from_samples(curve)
+        path = write_curve_csv(tmp_path / "c.csv", curve, curvature, t=np.log(3.0))
+        loaded, extras = read_curve_csv(path)
         assert np.array_equal(loaded.positions, curve.positions)
         assert np.array_equal(loaded.normals, curve.normals)
+        assert np.array_equal(extras["beta"], curvature.beta)
+        assert np.array_equal(extras["ell"], curvature.ell)
+        assert extras["t"] == np.log(3.0)
+
+    @pytest.mark.parametrize("with_curvature", [False, True], ids=["plain", "curvature"])
+    @pytest.mark.parametrize("t", [None, 2.5e-320, -0.0], ids=["no-t", "t-subnormal", "t-zero"])
+    def test_writer_bytes_equal_csv_writer(self, tmp_path, with_curvature, t):
+        rng = np.random.default_rng(9)
+        values = rng.standard_normal((40, 6)) * 10.0 ** rng.integers(-320, 300, (40, 6))
+        # signed zeros, subnormals, the largest and smallest normals, thirds
+        specials = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308,
+                    1.7976931348623157e308, 1.0 / 3.0, 0.1, -1.0, 123456789.0]
+        values.ravel()[::3][: len(specials)] = specials
+        curve = LegendreCurve(positions=values[:, :2], normals=values[:, 2:4])
+        curvature = (LegendreCurvature(ell=values[:, 4], beta=values[:, 5])
+                     if with_curvature else None)
+        new = write_curve_csv(tmp_path / "new.csv", curve, curvature, t=t)
+        ref = csv_writer_curve(tmp_path / "ref.csv", curve, curvature, t=t)
+        assert new.read_bytes() == ref.read_bytes()
+        assert b"-0.0," in ref.read_bytes() and b"5e-324" in ref.read_bytes()
 
     def test_malformed_csv_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -226,6 +315,14 @@ class TestCurveIO:
         u = uniform_grid(64)
         pts = np.stack([np.cos(u), np.sin(u)], axis=-1)
         assert render_svg(pts) == render_svg(pts)
+
+    # at 1e11 one ulp (about 1.5e-5) shows in the sixth decimal
+    @pytest.mark.parametrize("scale", [1.0, 1e-7, 3e5, 1e11])
+    def test_svg_bytes_equal_per_point_reference(self, scale):
+        u = uniform_grid(257)
+        pts = scale * np.stack([np.cos(u) + 0.3 * np.cos(2 * u),
+                                np.sin(u) - 0.2 * np.sin(3 * u) - 7.0], axis=-1)
+        assert render_svg(pts).encode() == per_point_render_svg(pts).encode()
 
     def test_svg_rejects_point(self):
         with pytest.raises(ValidationError):
@@ -306,6 +403,26 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cell", [b"abc", b"", b"nan", b"0.5\xff"],
+                             ids=["non-numeric", "empty", "nan", "undecodable"])
+    def test_curve_cell_rejected_with_exit_2(self, tmp_path, capsys, cell):
+        # the cell lands in the x column; read_curve_csv refuses it for every command
+        src = tmp_path / "curve.csv"
+        curve = reconstruct_centered_curve(SpectralBeta.from_modes(1, modes={2: (1.0, 0.0)}), 64)
+        write_curve_csv(src, curve)
+        lines = src.read_bytes().splitlines()
+        cells = lines[5].split(b",")
+        cells[1] = cell
+        lines[5] = b",".join(cells)
+        src.write_bytes(b"\n".join(lines) + b"\n")
+        for command in ("reparam", "simulate", "cusps", "converge"):
+            outdir = tmp_path / command
+            code = run([command, "--curve", str(src), "--outdir", str(outdir)])
+            assert code == 2, command
+            err = capsys.readouterr().err
+            assert "curve.csv" in err and "Traceback" not in err
+            assert not outdir.exists()
 
     def test_samples_must_resolve_the_initial_curve(self, tmp_path, capsys):
         # n + K = 6 needs 13 points; 12 was reported as an inconsistent curve

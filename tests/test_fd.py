@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import sparse_beta_fd
+from conftest import roll_phi_fd, sparse_beta_fd
 from legendreflow.curves import uniform_grid
-from legendreflow.errors import ValidationError
+from legendreflow.errors import LegendreFlowError, ValidationError
 from legendreflow.fd import (
     FDGrid,
     PhiState,
@@ -153,6 +153,42 @@ class TestSolvePhiFD:
             assert lo_bound - 1e-12 <= lo
             assert hi <= hi_bound + 1e-12
 
+
+    @pytest.mark.parametrize("num, ell, forcing", [
+        (128, lambda v, t: np.ones_like(v), None),
+        (128, lambda v, t: np.full_like(v, 2.0), lambda v, t: 0.1 * np.sin(v)),
+        (64, lambda v, t: 1.0 + 0.3 * np.cos(v + t), lambda v, t: 0.5 * np.sin(2 * v)),
+    ], ids=["unforced", "forced", "varying-ell"])
+    def test_bitwise_equal_to_roll_stepper(self, num, ell, forcing):
+        u = uniform_grid(num)
+        state0 = PhiState.from_phi(u + 0.2 * np.sin(u))
+        grid = FDGrid(num_points=num, dt=1e-4, scheme="explicit_euler")
+        traj = solve_phi_fd(state0, ell, 0.1, grid, forcing=forcing, record_every=7)
+        ref, halvings = roll_phi_fd(state0, ell, 0.1, grid, forcing=forcing, record_every=7)
+        assert halvings == 0
+        assert traj.times == ref.times
+        for state, want in zip(traj.states, ref.states, strict=True):
+            assert np.array_equal(state.periodic_part, want.periodic_part)
+
+    def test_bitwise_equal_through_step_halving(self):
+        # a strong forcing until t = 0.1 pulls min d_u phi down to about 0.26;
+        # the explicit step at dt = du^2/2 is then unstable and is halved 4 times
+        num = 32
+        grid = FDGrid(num_points=num, dt=(2.0 * np.pi / num) ** 2 / 2.0,
+                      scheme="explicit_euler")
+        state0 = PhiState(periodic_part=np.zeros(num))
+        ell = lambda v, t: np.ones_like(v)
+        forcing = lambda v, t: 10.0 * np.sin(v) if t < 0.1 else np.zeros_like(v)
+        traj = solve_phi_fd(state0, ell, 0.5, grid, forcing=forcing)
+        ref, halvings = roll_phi_fd(state0, ell, 0.5, grid, forcing=forcing)
+        assert halvings == 4
+        assert traj.times == ref.times
+        for state, want in zip(traj.states, ref.states, strict=True):
+            assert np.array_equal(state.periodic_part, want.periodic_part)
+        # forced until t = 0.2, the gradient bound is lost after 10 halvings
+        longer = lambda v, t: 5.0 * np.sin(v) if t < 0.2 else np.zeros_like(v)
+        with pytest.raises(LegendreFlowError, match="10 step halvings"):
+            solve_phi_fd(state0, ell, 0.5, grid, forcing=longer)
 
     def test_unstable_step_rejected(self):
         # l = 1 and phi_u >= 0.8: the bound is du^2 0.64 / 2 ~ 4.8e-5 at N = 512
