@@ -43,10 +43,18 @@ class RunConfig:
     final_time: float = 0.25
 
     def validate(self):
+        if not isinstance(self.outdir, str) or not isinstance(self.curve, (str, type(None))):
+            raise ValidationError("outdir and curve must be paths")
+        if self.equation not in ("beta", "phi") or self.scheme not in fd.SCHEMES:
+            raise ValidationError(f"equation must be beta or phi and scheme one of {fd.SCHEMES}, "
+                                  f"got {self.equation!r} and {self.scheme!r}")
         numbers = [*self.times, self.a0, self.c1 or 0.0, self.c2, self.dt, self.final_time,
                    *(c for pair in self.modes.values() for c in pair)]
         if not np.all(np.isfinite(numbers)):
             raise ValidationError("times, coefficients, dt and T must be finite")
+        if self.command == "oracle-check" and not (self.dt > 0.0 and self.final_time > 0.0):
+            raise ValidationError(f"oracle-check needs dt > 0 and T > 0, got {self.dt!r} and "
+                                  f"{self.final_time!r}")
         if self.samples < fd.MIN_POINTS:
             raise ValidationError(f"--samples must be at least {fd.MIN_POINTS}, got {self.samples}")
         # X_0 = int beta_0 mu has frequencies up to n + K, which the grid must resolve
@@ -133,7 +141,6 @@ def _cmd_simulate(config: RunConfig):
 
 def _cmd_self_similar(config: RunConfig):
     outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     if config.catalog:
         rows = []
         outputs = []
@@ -172,9 +179,13 @@ def _write_profile(outdir, stem, profile, samples):
     curve = LegendreCurve(positions=positions, normals=profile.normal(u))
     curvature = LegendreCurvature(ell=np.full(num, float(profile.n)),
                                   beta=profile.beta(u))
+    # refuse an overflowing profile before anything is written
+    svg = curveio.render_svg(positions)
+    curveio.check_finite(f"{stem}.csv", curve, curvature)
+    outdir.mkdir(parents=True, exist_ok=True)
     csv_path = curveio.write_curve_csv(outdir / f"{stem}.csv", curve, curvature)
-    svg_path = Path(outdir) / f"{stem}.svg"
-    svg_path.write_text(curveio.render_svg(positions))
+    svg_path = outdir / f"{stem}.svg"
+    svg_path.write_text(svg)
     return [csv_path, svg_path]
 
 
@@ -282,7 +293,7 @@ def _cmd_oracle_check(config: RunConfig):
         result.update({"error": err_coarse, "refined_error": err_fine,
                        "observed_order": order,
                        "order_ok": bool(order >= 1.9)})
-    elif config.equation == "phi":
+    else:
         state0 = fd.PhiState.from_phi(
             np.linspace(0.0, 2.0 * np.pi, config.samples, endpoint=False)
             + 0.2 * np.sin(np.linspace(0.0, 2.0 * np.pi, config.samples,
@@ -298,8 +309,6 @@ def _cmd_oracle_check(config: RunConfig):
             "max_winding_residual": max(traj.winding_residual),
             "winding_ok": bool(max(traj.winding_residual) < 1e-8),
         })
-    else:
-        raise ValidationError(f"unknown equation {config.equation!r}")
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     json_path = curveio.write_json(outdir / "oracle_check.json", result)
@@ -427,7 +436,7 @@ def config_from_args(args):
             config.m = int(config.m)
         if config.c1 is not None:
             config.c1 = float(config.c1)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed config value: {exc}") from exc
     config.validate()
     return config

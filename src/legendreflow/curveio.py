@@ -128,12 +128,15 @@ def render_svg(points, stroke="#1a1a8c", width=640):
     margin = 0.05 * np.max(span)
     lo = lo - margin
     size = span + 2.0 * margin
+    height = width * size[1] / size[0]
+    if not np.isfinite([*size, height]).all():
+        raise InvariantViolationError("SVG bounding box overflows a double, not written")
     stroke_width = 0.004 * float(np.max(size))
     # SVG y grows downward; flip the vertical axis
     top = lo[1] + size[1]
     flipped = lo[1] + (top - points[:, 1])
     coords = " ".join(map("{:.6f},{:.6f}".format, points[:, 0].tolist(), flipped.tolist()))
-    height = int(round(width * size[1] / size[0]))
+    height = int(round(height))
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

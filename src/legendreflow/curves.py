@@ -106,10 +106,6 @@ class LegendreCurve:
             )
         return residual
 
-    def frontal_residual(self):
-        dX = periodic_diff(self.positions)
-        return float(np.max(np.abs(np.sum(dX * self.normals, axis=1))))
-
 
 @dataclass(frozen=True)
 class LegendreCurvature:

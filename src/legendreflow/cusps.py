@@ -16,9 +16,38 @@ the mode of largest |c_k| = A, so |R| <= rho0 = sum_{k != j} |c_k| and
 take theta with cos(theta) > rho0/A and sin(theta) > rho1/(jA): beta has no
 zero where |cos(j(u - phi))| >= cos(theta), and on each of the other 2j arcs
 it is strictly monotone and changes sign, so z = 2j and every zero is
-simple (rho0 < |c_0| gives z = 0 for j = 0).  The counts of a call that this
-certificate does not settle are solved together: their companion matrices,
-built as np.roots builds them, go to one eigvals call per degree.
+simple (rho0 < |c_0| gives z = 0 for j = 0).
+
+Most of the other counts are settled by cells.  beta, d_u beta and d_u^2
+beta are sampled on a uniform grid of CELL_GRID points (4(K + 1) if more) by
+one inverse FFT of the call's stack, and S_p = sum_k k^p |c_k| bounds
+|d_u^p beta|.  A root of z^K beta within UNIT_CIRCLE_TOL of the circle is a
+zero u + iy of beta with |y| < Y = 2 UNIT_CIRCLE_TOL (the factor 2 covers
+roots computed up to 1e-6 off their place), and there d_u^p beta moves off
+its real value by at most near_p = sum_k k^p |c_k| sinh(kY).  On a cell
+[a, b], f(a + x) >= f(a) + f'(a) x - sup|f''| x^2/2 from either end over
+half the cell bounds |f| from below (_clear).  A cell is free when that
+bound keeps |beta| > near_0 (sup|beta''| <= S_2): no root of the band lies
+over it.  A cell is monotone when it keeps |d_u beta| > near_1 (S_3) with
+one sign s: then Re(s d_u beta) > 0 on the rectangle [a, b] x [-Y, Y], so
+beta is one-to-one there (Noshiro-Warschawski), the rectangle holds at most
+one root, and that root is real, because roots off the axis come in
+conjugate pairs; it is there when beta changes sign over the cell.  Adjacent
+monotone cells share the sign of d_u beta at their common end, so a run of
+them holds at most one zero, and counting the sign changes of the samples
+with 0 taken as + counts it once even where the sample next to it has the
+wrong sign; a run ends at free cells, whose ends are far from 0, and no run
+closes around the circle, where d_u beta has mean 0.  An undecided cell is
+halved, at most CELL_DEPTH times, and only the new midpoints are evaluated.
+When every cell of a row is decided, z is the number of monotone cells with
+a sign change, each zero is simple and zeros lie at least a cell apart, so
+the companion count, which merges roots within UNIT_CIRCLE_TOL, is the same.
+On the rows the dominant-mode test leaves open S_1 >= 0.999 max |c_k|, so
+near_p is far above the rounding of the samples.  A row with an undecided
+cell, or a count taken EVENT_DT/2 from a fold, where two zeros are about to
+meet and halving would not decide, is solved from its roots: the companion
+matrices of a call, built as np.roots builds them, go to one eigvals call per
+degree.
 
 A drop of z(t) is located at its fold, where two zeros meet and leave the
 circle as a root pair: Newton's method on beta = d_u beta = 0 in (u, t)
@@ -48,6 +77,10 @@ EVENT_DT = 1e-6
 # The dominant-mode certificate settles z(t) when its margin exceeds this,
 # which covers rounding and the modes below NEGLIGIBLE_MODE.
 CERTIFICATE_MARGIN = 1e-3
+# The cell certificate's uniform grid (4(K + 1) points when that is more)
+# and how often it halves an undecided cell.
+CELL_GRID = 64
+CELL_DEPTH = 8
 
 
 @dataclass(frozen=True)
@@ -174,17 +207,76 @@ def _circle_zeros(roots):
     return np.mod(np.angle(centre), 2.0 * np.pi), np.bincount(label) > 1
 
 
+def _clear(fa, fb, da, db, h, bound, near):
+    """Where |f| > near on a cell of width h, from f and f' at its ends (fa,
+    da and fb, db) and |f''| <= bound: f(a + x) >= f(a) + f'(a) x - bound
+    x^2/2 on the left half, the same from b on the right half, with the sign
+    of f(a) taken as +; each bound is concave in x, so least at an end."""
+    sign, x = np.sign(fa), 0.5 * h
+    low = np.minimum(np.minimum(sign * fa, sign * fb),
+                     np.minimum(sign * (fa + da * x), sign * (fb - db * x)) - 0.5 * bound * x * x)
+    return low > near
+
+
+def _cell_counts(c):
+    """z per row of c by the cell certificate, or -1 where a cell is still
+    undecided after CELL_DEPTH halvings (see the module docstring)."""
+    c = c / np.abs(c).max(axis=1, keepdims=True)    # a tiny row would lose digits
+    size = c.shape[1]
+    k = np.arange(size)
+    mag = np.abs(c)
+    # S_p = sum_k k^p |c_k| bounds |d_u^p beta|, and near_p bounds how far
+    # d_u^p beta moves off the real axis within the unit-circle band
+    bound = mag @ (k[:, None] ** np.arange(4))
+    near = (mag * np.sinh(2.0 * UNIT_CIRCLE_TOL * k)) @ (k[:, None] ** np.arange(2))
+    weights = c[:, :, None] * (1j * k)[:, None] ** np.arange(3)    # beta, d_u, d_u^2
+    num = max(CELL_GRID, 4 * size)
+    f = _series(weights.transpose(1, 0, 2).reshape(size, -1), num)
+    fa = f.reshape(num, c.shape[0], 3).transpose(1, 0, 2)
+    fb = np.roll(fa, -1, axis=1).reshape(-1, 3)
+    fa = fa.reshape(-1, 3)
+    row = np.repeat(np.arange(c.shape[0]), num)
+    lo = np.tile(2.0 * np.pi / num * np.arange(num), c.shape[0])
+    h = 2.0 * np.pi / num
+    zeros = np.zeros(c.shape[0], dtype=int)
+    for depth in range(CELL_DEPTH + 1):
+        free = _clear(fa[:, 0], fb[:, 0], fa[:, 1], fb[:, 1], h, bound[row, 2], near[row, 0])
+        mono = ~free & _clear(fa[:, 1], fb[:, 1], fa[:, 2], fb[:, 2], h, bound[row, 3], near[row, 1])
+        # a sign change, 0 taken as +, so a zero on a shared end counts once
+        zeros += np.bincount(row[mono & ((fa[:, 0] < 0.0) != (fb[:, 0] < 0.0))],
+                             minlength=c.shape[0])
+        undecided = ~(free | mono)
+        row, lo, fa, fb = row[undecided], lo[undecided], fa[undecided], fb[undecided]
+        if depth == CELL_DEPTH or row.shape[0] == 0:
+            break
+        h *= 0.5
+        mid = lo + h
+        fm = np.real(np.einsum("ik,ikp->ip", np.exp(1j * np.multiply.outer(mid, k)), weights[row]))
+        row, lo = np.concatenate([row, row]), np.concatenate([lo, mid])
+        fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
+    zeros[row] = -1
+    return zeros
+
+
+def _circle_counts(rows):
+    """z from the roots and the circle test for each trimmed row, the
+    companion matrices solved as one stack per degree."""
+    return [_circle_zeros(roots)[0].shape[0] for roots in _roots(rows)]
+
+
 def _counts(s, times):
-    """z(t) at every time: 2j where the certificate of mode j holds, and
-    otherwise from the roots and the circle test, all uncertified rows
-    solved as one stack per degree."""
+    """z(t) at every time: 2j where the certificate of mode j holds, else by
+    the cell certificate, and from the roots where a cell stays undecided,
+    those rows solved as one stack per degree."""
     c, rows, _ = _evolved_rows(s, times)
     mode, margin = _certificates(c)
     counts = 2 * mode
     open_ = np.flatnonzero(margin <= CERTIFICATE_MARGIN)
-    for i, roots in zip(open_, _roots([rows[i] for i in open_])):
-        counts[i] = _circle_zeros(roots)[0].shape[0]
-    return [int(z) for z in counts]
+    if open_.size:
+        counts[open_] = _cell_counts(c[open_])
+    left = open_[counts[open_] < 0]
+    counts[left] = _circle_counts([rows[i] for i in left])
+    return counts.tolist()
 
 
 def _count(s, t):
@@ -366,7 +458,7 @@ def detect_strict_decrease(s: SpectralBeta, series):
     drops = [(t_lo, z_lo, t_hi, z_hi)
              for (t_lo, z_lo), (t_hi, z_hi) in zip(series, series[1:]) if z_hi < z_lo]
     ends = _roots(_evolved_rows(s, [drop[2] for drop in drops])[1])
-    events = []
+    folds, before, after = [], [], []
     for (t_lo, z_lo, t_hi, z_hi), roots in zip(drops, ends):
         groups = []  # [t of the first fold, u and t of the last]
         for u, t in _folds(s, t_lo, t_hi, (z_lo - z_hi) // 2, roots):
@@ -374,18 +466,24 @@ def detect_strict_decrease(s: SpectralBeta, series):
                 groups[-1][1:] = [u, t]
             else:
                 groups.append([t, u, t])
-        # the certifying counts, the series' own z_hi past the interval's end
-        after = [t_event + 0.5 * EVENT_DT for _, _, t_event in groups]
-        inside = [a for a in after if a < t_hi]
-        probes = _counts(s, [t0 - 0.5 * EVENT_DT for t0, _, _ in groups] + inside)
-        z_before = probes[: len(groups)]
-        z_after = probes[len(groups):] + [z_hi] * (len(after) - len(inside))
+        folds.append(groups)
+        before += [t0 - 0.5 * EVENT_DT for t0, _, _ in groups]
+        after += [t + 0.5 * EVENT_DT for _, _, t in groups if t + 0.5 * EVENT_DT < t_hi]
+    # the certifying counts of every interval as one stack; a count this near
+    # a fold, where two zeros are about to meet, goes straight to the roots
+    probes = _circle_counts(_evolved_rows(s, before + after)[1])
+    z_before, z_after = iter(probes[: len(before)]), iter(probes[len(before):])
+    events = []
+    for (t_lo, z_lo, t_hi, z_hi), groups in zip(drops, folds):
+        # the series' own z_hi past the interval's end
+        counts = [(next(z_before), next(z_after) if t + 0.5 * EVENT_DT < t_hi else z_hi)
+                  for _, _, t in groups]
         cur_t, cur_z = t_lo, z_lo
-        for (_, wu, t_event), zb, za, a in zip(groups, z_before, z_after, after):
+        for (_, wu, t_event), (zb, za) in zip(groups, counts):
             if cur_z == z_hi or zb != cur_z or za >= cur_z:
                 break
             events.append(_event(s, (t_lo, t_hi), t_event, cur_z, za, wu))
-            cur_t, cur_z = a, za
+            cur_t, cur_z = t_event + 0.5 * EVENT_DT, za
         events += _bisect(s, t_lo, t_hi, z_hi, cur_t, cur_z)
     return events
 

@@ -67,8 +67,8 @@ def solve_beta_fd(beta0, n, final_time, grid: FDGrid):
         raise ValidationError(
             f"beta0 has {beta.shape[0]} samples but the grid expects {num}")
     steps = int(round(final_time / grid.dt))
-    if abs(steps * grid.dt - final_time) > 1e-12 * max(1.0, final_time):
-        raise ValidationError("final_time must be an integer number of steps")
+    if steps < 1 or abs(steps * grid.dt - final_time) > 1e-12 * max(1.0, final_time):
+        raise ValidationError("final_time must be a positive integer number of steps")
     # symbol of the 3-point periodic Laplacian (u_{j-1} - 2 u_j + u_{j+1})/du^2
     lap = -4.0 * np.sin(0.5 * grid.du * np.arange(num // 2 + 1)) ** 2 / grid.du**2
     if grid.scheme == "explicit_euler":

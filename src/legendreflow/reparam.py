@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import LegendreCurve, angle_unwrap, curvature_from_samples, uniform_grid
+from .curves import (ROTATION_INDEX_TOL, LegendreCurve, angle_unwrap, curvature_from_samples,
+                     uniform_grid)
 from .errors import (ConvexityError, InconsistentNormalFieldError, InvariantViolationError,
                      ValidationError)
-
-ROTATION_INDEX_TOL = 1e-6
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,84 @@ def _finite_artifacts(outdir):
         assert np.isfinite(values).all(), path.name
 
 
+def _run_fuzzed(argv, outdir):
+    """Run one command in-process: exit code 0, 2 or 3, no traceback, no
+    file written when the input is refused (2), only finite artifacts."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv + ["--outdir", str(outdir)])
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert not [p for p in Path(outdir).rglob("*") if p.is_file()], argv
+    _finite_artifacts(outdir)
+    for path in Path(outdir).rglob("*.svg"):
+        assert "nan" not in path.read_text() and "inf" not in path.read_text(), path.name
+    return code
+
+
+# Values of the wrong type or out of every range; text has no digits, so no
+# junk value parses as a size or step that would make a run take long
+_JUNK = st.one_of(st.none(), st.booleans(), st.text("ab ,:-", max_size=3),
+                  st.lists(st.integers(0, 3), max_size=2),
+                  st.dictionaries(st.sampled_from("ab"), st.integers(0, 2), max_size=1),
+                  st.sampled_from([float("inf"), float("-inf"), float("nan")]))
+_AMPLITUDE = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 1e-320, 1e300, -1e308]))
+
+
+class TestInputFuzz:
+    """self-similar parameters, oracle-check grids and config files: every
+    input exits 0, 2 or 3 with finite artifacts and no traceback."""
+
+    @given(st.integers(-1, 4), st.integers(-1, 9), _AMPLITUDE, _AMPLITUDE,
+           st.integers(0, 600))
+    @settings(max_examples=30, deadline=None)
+    def test_self_similar_parameters(self, n, m, c1, c2, samples):
+        with tempfile.TemporaryDirectory() as tmp:
+            _run_fuzzed(["self-similar", "--n", str(n), "--m", str(m), f"--c1={c1!r}",
+                         f"--c2={c2!r}", "--samples", str(samples)], tmp)
+
+    @given(st.sampled_from(["beta", "phi"]), st.sampled_from(["explicit_euler", "crank_nicolson"]),
+           st.integers(1, 3), st.integers(0, 80),
+           st.one_of(st.floats(1e-3, 2.0), st.sampled_from([0.0, -1e-3, 1e300])),
+           st.one_of(st.floats(-0.5, 1.0), st.sampled_from([0.0, 1e-12])))
+    @settings(max_examples=30, deadline=None)
+    def test_oracle_check_grids(self, equation, scheme, n, samples, dt, final_time):
+        with tempfile.TemporaryDirectory() as tmp:
+            _run_fuzzed(["oracle-check", "--equation", equation, "--scheme", scheme,
+                         "--n", str(n), "--mode", f"{n + 1}:1", "--samples", str(samples),
+                         f"--dt={dt!r}", f"--T={final_time!r}"], tmp)
+
+    @given(st.sampled_from(["simulate", "self-similar", "reparam", "cusps", "converge",
+                            "oracle-check"]),
+           st.fixed_dictionaries({}, optional={
+               "n": st.one_of(st.integers(-1, 4), _JUNK),
+               "a0": st.one_of(_AMPLITUDE, _JUNK),
+               "modes": st.one_of(
+                   st.dictionaries(st.sampled_from(["0", "1", "2", "3", "5", "-1", "x"]),
+                                   st.one_of(st.lists(_AMPLITUDE, min_size=2, max_size=2),
+                                             _JUNK), max_size=3),
+                   _JUNK),
+               "curve": _JUNK,
+               "m": st.one_of(st.integers(-1, 5), _JUNK),
+               "c1": st.one_of(_AMPLITUDE, _JUNK),
+               "c2": st.one_of(_AMPLITUDE, _JUNK),
+               "times": st.one_of(st.lists(st.floats(-1.0, 20.0), max_size=3), _JUNK),
+               "samples": st.one_of(st.integers(0, 80), _JUNK),
+               "catalog": st.booleans(),
+               "equation": st.one_of(st.sampled_from(["beta", "phi"]), _JUNK),
+               "scheme": st.one_of(st.sampled_from(["explicit_euler", "crank_nicolson"]), _JUNK),
+               "dt": st.one_of(st.floats(1e-3, 1.0), _JUNK),
+               "final_time": st.one_of(st.floats(-0.5, 1.0), _JUNK),
+           }))
+    @settings(max_examples=40, deadline=None)
+    def test_config_files(self, command, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            _run_fuzzed([command, "--config", str(path)], Path(tmp) / "out")
+
+
 class TestCurveInputFuzz:
     @given(st.sampled_from(["word", "nan", "inf", "-inf", "empty", "padded",
                             "extra-cell", "missing-cell", "drop-row", "duplicate-row"]),
@@ -341,7 +419,11 @@ class TestNonFiniteOutput:
         ["cusps", "--n", "3", "--mode", "1:1", "--times", "800"],
         # lambda_2 t = -3e308 overflows before the companion matrix is built
         ["cusps", "--n", "1", "--mode", "2:1", "--times", "1e308"],
-    ], ids=["simulate", "simulate-series", "cusps", "cusps-exponent"])
+        # the profile is finite, but its SVG extent (and 640 times it) overflows
+        ["self-similar", "--n", "1", "--m", "2", "--c1", "1e308"],
+        ["self-similar", "--n", "1", "--m", "0", "--c1", "1e308"],
+    ], ids=["simulate", "simulate-series", "cusps", "cusps-exponent", "self-similar-width",
+            "self-similar-circle"])
     def test_refused_with_exit_3(self, tmp_path, capsys, argv):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -423,6 +505,30 @@ class TestMalformedInput:
             err = capsys.readouterr().err
             assert "curve.csv" in err and "Traceback" not in err
             assert not outdir.exists()
+
+    @pytest.mark.parametrize("config", [
+        {"n": float("inf")}, {"samples": float("inf")}, {"m": float("inf"), "c1": 1.0},
+        {"outdir": 5}, {"curve": 5}, {"equation": "psi"}, {"scheme": ["crank_nicolson"]},
+    ], ids=["n-inf", "samples-inf", "m-inf", "outdir-int", "curve-int", "equation",
+            "scheme-list"])
+    def test_config_value_rejected_with_exit_2(self, tmp_path, capsys, config):
+        # these ended in OverflowError and TypeError tracebacks
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = ["simulate", "--mode", "2:1", "--config", str(tmp_path / "config.json")]
+        if "outdir" not in config:
+            argv += ["--outdir", str(tmp_path / "out")]
+        code = run(argv)
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("final_time", ["0", "-1"])
+    def test_oracle_check_needs_a_positive_time(self, tmp_path, final_time):
+        # no step is taken, so the observed order was rounding noise and exit 3
+        code = run(["oracle-check", "--mode", "2:1", "--samples", "16", f"--T={final_time}",
+                    "--outdir", str(tmp_path / "out")])
+        assert code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_samples_must_resolve_the_initial_curve(self, tmp_path, capsys):
         # n + K = 6 needs 13 points; 12 was reported as an inconsistent curve

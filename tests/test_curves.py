@@ -68,7 +68,7 @@ class TestLegendreCurve:
             psi = u + 0.3 * np.sin(u)
             nu = np.stack([np.sin(psi), -np.cos(psi)], axis=-1)
             pos = nu.copy()
-            return LegendreCurve(positions=pos, normals=nu).frontal_residual()
+            return LegendreCurve(positions=pos, normals=nu).validate()
 
         r1, r2, r3 = residual(64), residual(128), residual(256)
         assert 3.5 < r1 / r2 < 4.5

@@ -76,8 +76,9 @@ def _beta0(kind, seed):
 
 
 class TestStackedSolve:
-    """Counts are settled by the dominant-mode certificate where it holds and
-    by stacked companion solves elsewhere."""
+    """Counts are settled by the dominant-mode certificate where it holds, by
+    the cell certificate where it decides, and by stacked companion solves
+    elsewhere."""
 
     def test_roots_bitwise_equal_to_np_roots(self):
         # n = 1: mode 5 (rate -25 against the mean mode) falls below
@@ -113,6 +114,28 @@ class TestStackedSolve:
         assert exact == 2 * mode[0] == grid_zero_count(s, t)
         assert report.count == 2 * mode[0]
         assert all(z.kind == "simple_cusp" for z in report.zeros)
+
+    @given(st.sampled_from(["test05", "pure", "two-mode"]), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 5.0))
+    @settings(max_examples=80, deadline=None)
+    def test_cell_count_is_exact(self, kind, seed, t):
+        s = _beta0(kind, seed)
+        c, [row], _ = cusps._evolved_rows(s, [t])
+        [cell] = cusps._cell_counts(c)
+        assume(cell >= 0)
+        assert cell == cusps._circle_zeros(companion_roots(row))[0].shape[0]
+        assert cell == grid_zero_count(s, t)
+
+    def test_fold_left_to_the_companion_step(self, root_solves):
+        # n = 1: 0.01 e^t + e^{-3t} cos 2u has double zeros at pi/2 and 3 pi/2
+        # when 0.01 e^{4t} = 1, which no cell certifies
+        s = SpectralBeta.from_modes(1, a0=0.01, modes={2: (1.0, 0.0)})
+        t_star = np.log(100.0) / 4.0
+        c, [row], _ = cusps._evolved_rows(s, [t_star])
+        assert cusps._certificates(c)[1][0] <= cusps.CERTIFICATE_MARGIN
+        assert cusps._cell_counts(c).tolist() == [-1]
+        assert cusps._count(s, t_star) == cusps._circle_zeros(companion_roots(row))[0].shape[0]
+        assert root_solves == [3]
 
     def test_series_matches_report_series(self):
         rng = np.random.default_rng(11)
@@ -316,6 +339,14 @@ class TestFoldLocator:
         for _ in range(100):
             zero_count_series(random_closed_spectral(rng, max_truncation=6), self.TIMES)
         assert len(root_solves) <= 20 * 100
+
+    def test_series_cell_budget(self, root_solves):
+        # acceptance test 05's draws: the cell certificate settles the times
+        # the dominant-mode certificate leaves open
+        rng = np.random.default_rng(777)
+        for _ in range(100):
+            zero_count_series(random_closed_spectral(rng, max_truncation=6), self.TIMES)
+        assert len(root_solves) <= 10
 
     def test_bisection_fallback_on_three_zeros_merging(self, monkeypatch):
         # n = 2, 0.05 cos u + cos 3u: at t = ln(60)/2 three zeros merge at

@@ -103,6 +103,14 @@ class TestSolveBetaFD:
         with pytest.raises(ValidationError, match="singular"):
             solve_beta_fd(np.ones(64), 1, 2.0, grid)
 
+    @pytest.mark.parametrize("final_time", [1e-12, 0.0])
+    def test_no_step_rejected(self, final_time):
+        # within the 1e-12 step-count tolerance of 0 steps, which compared
+        # beta_0 with the exact flow and failed the oracle verdict on rounding
+        grid = FDGrid(num_points=64, dt=1e-3)
+        with pytest.raises(ValidationError, match="positive integer number of steps"):
+            solve_beta_fd(np.ones(64), 1, final_time, grid)
+
     def test_sample_count_mismatch_rejected(self):
         grid = FDGrid(num_points=64, dt=1e-3)
         with pytest.raises(ValidationError):
