@@ -45,7 +45,7 @@ from .asymptotics import (
     leading_mode,
     scaled_error,
 )
-from .reparam import Reparametrization, build_psi1, reparametrize
+from .reparam import Reparametrization, reparametrize
 from .fd import FDGrid, PhiState, solve_beta_fd, solve_phi_fd
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,10 +17,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from . import asymptotics, cusps, curveio, fd, reparam, selfsimilar, spectral
-from .curves import curvature_from_samples
-from .errors import InvariantViolationError, ValidationError, LegendreFlowError
+from . import __version__, asymptotics, cusps, curveio, fd, reparam, selfsimilar, spectral
+from .curves import (LegendreCurvature, LegendreCurve, angle_unwrap, curvature_from_samples,
+                     uniform_grid)
+from .errors import InvariantViolationError, LegendreFlowError, ValidationError
+
+#: Largest --samples; oracle-check refines to twice as many points.
+MAX_SAMPLES = 2 ** 16
+#: Largest mode index K; cusps solves 2K x 2K companion matrices.
+MAX_MODE = 128
+#: Largest n + m of a self-similar profile, whose render grid is 64 (n + m) points.
+MAX_PROFILE_FREQUENCY = MAX_SAMPLES // 64
 
 
 @dataclass
@@ -55,8 +62,16 @@ class RunConfig:
         if self.command == "oracle-check" and not (self.dt > 0.0 and self.final_time > 0.0):
             raise ValidationError(f"oracle-check needs dt > 0 and T > 0, got {self.dt!r} and "
                                   f"{self.final_time!r}")
-        if self.samples < fd.MIN_POINTS:
-            raise ValidationError(f"--samples must be at least {fd.MIN_POINTS}, got {self.samples}")
+        if not fd.MIN_POINTS <= self.samples <= MAX_SAMPLES:
+            raise ValidationError(f"--samples must be between {fd.MIN_POINTS} and {MAX_SAMPLES}, "
+                                  f"got {self.samples}")
+        if max(self.modes, default=0) > MAX_MODE:
+            raise ValidationError(f"mode indices must be at most {MAX_MODE}, "
+                                  f"got {max(self.modes)}")
+        frequency = self.n + (self.m or 0)
+        if self.command == "self-similar" and frequency > MAX_PROFILE_FREQUENCY:
+            raise ValidationError(f"n + m must be at most {MAX_PROFILE_FREQUENCY}, "
+                                  f"got {frequency}")
         # X_0 = int beta_0 mu has frequencies up to n + K, which the grid must resolve
         top = self.n + max(self.modes, default=0)
         if (self.command in ("simulate", "converge") and self.curve is None
@@ -103,22 +118,25 @@ def _parse_times(text):
 
 def _spectral_from_config(config: RunConfig):
     if config.curve is not None:
-        try:
-            curve, extras = curveio.read_curve_csv(config.curve)
-        except OSError as exc:
-            raise ValidationError(f"unreadable input CSV: {exc}") from exc
-        curvature = curvature_from_samples(curve)
-        beta0 = extras.get("beta", curvature.beta)
-        from .curves import angle_unwrap
-        n = angle_unwrap(curve).rotation_index
-        return spectral.analyze_beta(beta0, n), curve
-    s = spectral.SpectralBeta.from_modes(config.n, a0=config.a0, modes=config.modes)
-    return s, None
+        curve, extras = curveio.read_curve_csv(config.curve)
+        beta0 = extras.get("beta", curvature_from_samples(curve).beta)
+        return spectral.analyze_beta(beta0, angle_unwrap(curve).rotation_index), curve
+    return spectral.SpectralBeta.from_modes(config.n, a0=config.a0, modes=config.modes), None
 
 
-def _emit_manifest(outdir, config: RunConfig, outputs):
-    return curveio.write_manifest(Path(outdir) / "manifest.json",
-                                  config.to_json_dict(), outputs, __version__)
+def _emit(config: RunConfig, artifacts, message, failure=None):
+    """Check every artifact, then create the output directory and write the
+    artifacts and the manifest: a run refused before the writes leaves no
+    directory behind.  A failure is raised after the writes."""
+    checked = {name: curveio.check_artifact(name, item) for name, item in artifacts.items()}
+    outdir = Path(config.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    outputs = [curveio.write_artifact(outdir / name, item) for name, item in checked.items()]
+    curveio.write_manifest(outdir / "manifest.json", config.to_json_dict(), outputs, __version__)
+    print(message)
+    if failure:
+        raise InvariantViolationError(failure)
+    return 0
 
 
 def _cmd_simulate(config: RunConfig):
@@ -126,85 +144,57 @@ def _cmd_simulate(config: RunConfig):
     if curve0 is None:
         curve0 = spectral.reconstruct_centered_curve(s, config.samples)
     states = [spectral.evolve_curve(s, curve0, t) for t in config.times or [0.0]]
-    # refuse before the first file is written, so a refusal leaves no snapshot
-    for state in states:
-        curveio.check_finite(f"flow at t = {state.t!r}", state.curve, state.curvature, state.t)
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    outputs = [curveio.write_curve_csv(outdir / f"flow_{idx:03d}.csv", state.curve,
-                                       state.curvature, t=state.t)
-               for idx, state in enumerate(states)]
-    manifest = _emit_manifest(outdir, config, outputs)
-    print(f"wrote {len(outputs)} snapshots and {manifest}")
-    return 0
+    artifacts = {f"flow_{idx:03d}.csv": curveio.CurveSamples(state.curve, state.curvature, state.t)
+                 for idx, state in enumerate(states)}
+    return artifacts, f"wrote {len(states)} snapshots and {Path(config.outdir) / 'manifest.json'}"
 
 
 def _cmd_self_similar(config: RunConfig):
-    outdir = Path(config.outdir)
     if config.catalog:
-        rows = []
-        outputs = []
+        artifacts, rows = {}, []
         for n, m, c1, c2 in selfsimilar.GALLERY_PROFILES:
             profile = selfsimilar.SelfSimilarProfile(n=n, m=m, c1=c1, c2=c2)
             stem = f"profile_n{n}_m{m}_c1{c1:g}_c2{c2:g}"
-            paths = _write_profile(outdir, stem, profile, config.samples)
-            outputs.extend(paths)
+            artifacts.update(_profile(stem, profile, config.samples))
             rows.append({
                 "n": n, "m": m, "c1": c1, "c2": c2,
                 "lap_count": selfsimilar.lap_count(n, m),
                 "cusp_count": selfsimilar.cusp_count(n, m),
-                "csv": paths[0].name, "svg": paths[1].name,
+                "csv": f"{stem}.csv", "svg": f"{stem}.svg",
             })
-        outputs.append(curveio.write_json(outdir / "catalog.json", rows))
-        _emit_manifest(outdir, config, outputs)
-        print(f"catalog of {len(rows)} profiles written to {outdir}")
-        return 0
+        artifacts["catalog.json"] = rows
+        return artifacts, f"catalog of {len(rows)} profiles written to {Path(config.outdir)}"
     if config.m is None or config.c1 is None:
         raise ValidationError("self-similar needs --m and --c1 (or --catalog)")
     profile = selfsimilar.SelfSimilarProfile(
         n=config.n, m=config.m, c1=config.c1, c2=config.c2)
     stem = f"profile_n{config.n}_m{config.m}"
-    outputs = _write_profile(outdir, stem, profile, config.samples)
-    _emit_manifest(outdir, config, outputs)
-    print(f"laps={selfsimilar.lap_count(config.n, config.m)} "
-          f"cusps={selfsimilar.cusp_count(config.n, config.m)} -> {outputs[1]}")
-    return 0
+    return (_profile(stem, profile, config.samples),
+            f"laps={selfsimilar.lap_count(config.n, config.m)} "
+            f"cusps={selfsimilar.cusp_count(config.n, config.m)} "
+            f"-> {Path(config.outdir) / f'{stem}.svg'}")
 
 
-def _write_profile(outdir, stem, profile, samples):
+def _profile(stem, profile, samples):
+    """The CSV and SVG artifacts of one profile; render_svg refuses an overflowing extent."""
     num = max(samples, profile.render_samples())
     u = np.linspace(0.0, 2.0 * np.pi, num, endpoint=False)
     positions = selfsimilar.profile_position(profile, u)
-    from .curves import LegendreCurve, LegendreCurvature
     curve = LegendreCurve(positions=positions, normals=profile.normal(u))
-    curvature = LegendreCurvature(ell=np.full(num, float(profile.n)),
-                                  beta=profile.beta(u))
-    # refuse an overflowing profile before anything is written
-    svg = curveio.render_svg(positions)
-    curveio.check_finite(f"{stem}.csv", curve, curvature)
-    outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = curveio.write_curve_csv(outdir / f"{stem}.csv", curve, curvature)
-    svg_path = outdir / f"{stem}.svg"
-    svg_path.write_text(svg)
-    return [csv_path, svg_path]
+    curvature = LegendreCurvature(ell=np.full(num, float(profile.n)), beta=profile.beta(u))
+    return {f"{stem}.csv": curveio.CurveSamples(curve, curvature),
+            f"{stem}.svg": curveio.render_svg(positions)}
 
 
 def _cmd_reparam(config: RunConfig):
     if config.curve is None:
         raise ValidationError("reparam needs --curve pointing at a curve CSV")
-    try:
-        curve, _ = curveio.read_curve_csv(config.curve)
-    except OSError as exc:
-        raise ValidationError(f"unreadable input CSV: {exc}") from exc
+    curve, _ = curveio.read_curve_csv(config.curve)
     normalized, record = reparam.reparametrize(curve)
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    out_csv = curveio.write_curve_csv(outdir / "normalized.csv", normalized,
-                                      curvature_from_samples(normalized))
-    _emit_manifest(outdir, config, [out_csv])
-    print(f"rotation index {record.rotation_index}, theta0 = {record.theta0:.6f} "
-          f"-> {out_csv}")
-    return 0
+    artifact = curveio.CurveSamples(normalized, curvature_from_samples(normalized))
+    return ({"normalized.csv": artifact},
+            f"rotation index {record.rotation_index}, theta0 = {record.theta0:.6f} "
+            f"-> {Path(config.outdir) / 'normalized.csv'}")
 
 
 def _cmd_cusps(config: RunConfig):
@@ -213,31 +203,25 @@ def _cmd_cusps(config: RunConfig):
     reports = cusps.report_series(s, times)
     series = [(rep.t, rep.count) for rep in reports]
     events = cusps.detect_strict_decrease(s, series)
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     report = [{"t": rep.t, "count": rep.count,
                "zeros": [{"u": z.location, "dbeta": z.derivative, "kind": z.kind}
                          for z in rep.zeros],
                "certificate": dict(zip(("mode", "margin"), rep.certificate))
                                if rep.certificate else None}
               for rep in reports]
-    json_path = curveio.write_json(outdir / "cusp_report.json", {
-        "series": report,
-        "events": [{"interval": e.interval, "t_event": e.t_event,
-                    "drop": [e.count_before, e.count_after],
-                    "witness": {"u": e.witness_u, "beta": e.witness_beta,
-                                "dbeta": e.witness_dbeta}}
-                   for e in events],
-    })
-    csv_path = outdir / "zero_counts.csv"
-    with csv_path.open("w") as fh:
-        fh.write("t,z,events\n")
-        for t, z in series:
-            inside = sum(1 for e in events if e.interval[0] <= t < e.interval[1])
-            fh.write(f"{t!r},{z},{inside}\n")
-    _emit_manifest(outdir, config, [csv_path, json_path])
-    print(f"z(t) over {len(series)} times, {len(events)} strict decrease(s)")
-    return 0
+    counts = [[t, z, sum(1 for e in events if e.interval[0] <= t < e.interval[1])]
+              for t, z in series]
+    return {
+        "cusp_report.json": {
+            "series": report,
+            "events": [{"interval": e.interval, "t_event": e.t_event,
+                        "drop": [e.count_before, e.count_after],
+                        "witness": {"u": e.witness_u, "beta": e.witness_beta,
+                                    "dbeta": e.witness_dbeta}}
+                       for e in events],
+        },
+        "zero_counts.csv": curveio.Table(["t", "z", "events"], counts),
+    }, f"z(t) over {len(series)} times, {len(events)} strict decrease(s)"
 
 
 def _cmd_converge(config: RunConfig):
@@ -246,28 +230,22 @@ def _cmd_converge(config: RunConfig):
         curve0 = spectral.reconstruct_centered_curve(s, config.samples)
     times = config.times or list(np.linspace(1.0, 6.0, 6))
     report = asymptotics.fit_decay_rate(s, curve0, times)
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    json_path = curveio.write_json(outdir / "convergence.json", {
-        "leading_mode": report.leading_mode,
-        "center": list(map(float, report.center)),
-        "fitted_rate": report.fitted_rate,
-        "predicted_rate": report.predicted_rate,
-        "exactly_self_similar": report.exactly_self_similar,
-        "envelope_bounded": report.envelope_bounded,
-    })
-    csv_path = outdir / "scaled_error.csv"
-    with csv_path.open("w") as fh:
-        fh.write("t,scaled_error\n")
-        for t, e in report.errors:
-            fh.write(f"{t!r},{e!r}\n")
-    _emit_manifest(outdir, config, [csv_path, json_path])
     if report.exactly_self_similar:
-        print("input is exactly self-similar; no rate to fit")
+        message = "input is exactly self-similar; no rate to fit"
     else:
-        print(f"fitted rate {report.fitted_rate:.6f} "
-              f"(predicted {report.predicted_rate:.6f})")
-    return 0
+        message = (f"fitted rate {report.fitted_rate:.6f} "
+                   f"(predicted {report.predicted_rate:.6f})")
+    return {
+        "convergence.json": {
+            "leading_mode": report.leading_mode,
+            "center": list(map(float, report.center)),
+            "fitted_rate": report.fitted_rate,
+            "predicted_rate": report.predicted_rate,
+            "exactly_self_similar": report.exactly_self_similar,
+            "envelope_bounded": report.envelope_bounded,
+        },
+        "scaled_error.csv": curveio.Table(["t", "scaled_error"], report.errors),
+    }, message
 
 
 def _cmd_oracle_check(config: RunConfig):
@@ -277,27 +255,21 @@ def _cmd_oracle_check(config: RunConfig):
     if config.equation == "beta":
         result["scheme"] = config.scheme
         s, _ = _spectral_from_config(config)
-        u = np.linspace(0.0, 2.0 * np.pi, config.samples, endpoint=False)
-        beta0 = spectral.synthesize_beta(s, u)
-        exact = spectral.evolve_beta(s, config.final_time, u)
-        approx = fd.solve_beta_fd(beta0, s.n, config.final_time, grid)
-        err_coarse = float(np.max(np.abs(approx - exact)))
-        fine = fd.FDGrid(num_points=2 * config.samples, dt=config.dt / 2,
-                         scheme=config.scheme)
-        u2 = np.linspace(0.0, 2.0 * np.pi, fine.num_points, endpoint=False)
-        approx2 = fd.solve_beta_fd(spectral.synthesize_beta(s, u2), s.n,
-                                   config.final_time, fine)
-        err_fine = float(np.max(np.abs(
-            approx2 - spectral.evolve_beta(s, config.final_time, u2))))
+        fine = fd.FDGrid(num_points=2 * config.samples, dt=config.dt / 2, scheme=config.scheme)
+        errors = []
+        for g in (grid, fine):
+            u = uniform_grid(g.num_points)
+            approx = fd.solve_beta_fd(spectral.synthesize_beta(s, u), s.n, config.final_time, g)
+            exact = spectral.evolve_beta(s, config.final_time, u)
+            errors.append(float(np.max(np.abs(approx - exact))))
+        err_coarse, err_fine = errors
         order = float(np.log2(err_coarse / err_fine)) if err_fine > 0 else float("inf")
         result.update({"error": err_coarse, "refined_error": err_fine,
                        "observed_order": order,
                        "order_ok": bool(order >= 1.9)})
     else:
-        state0 = fd.PhiState.from_phi(
-            np.linspace(0.0, 2.0 * np.pi, config.samples, endpoint=False)
-            + 0.2 * np.sin(np.linspace(0.0, 2.0 * np.pi, config.samples,
-                                       endpoint=False)))
+        u = uniform_grid(config.samples)
+        state0 = fd.PhiState.from_phi(u + 0.2 * np.sin(u))
         forcing = lambda u, t: 0.1 * np.sin(u)
         traj = fd.solve_phi_fd(state0, lambda u, t: np.full_like(u, float(config.n)),
                                config.final_time, grid, forcing=forcing)
@@ -309,14 +281,9 @@ def _cmd_oracle_check(config: RunConfig):
             "max_winding_residual": max(traj.winding_residual),
             "winding_ok": bool(max(traj.winding_residual) < 1e-8),
         })
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    json_path = curveio.write_json(outdir / "oracle_check.json", result)
-    _emit_manifest(outdir, config, [json_path])
-    print(json.dumps(result, indent=2))
-    if result.get("order_ok") is False or result.get("gradient_bounds_ok") is False:
-        raise InvariantViolationError("oracle check failed its verdict")
-    return 0
+    failed = result.get("order_ok") is False or result.get("gradient_bounds_ok") is False
+    return ({"oracle_check.json": result}, json.dumps(result, indent=2),
+            "oracle check failed its verdict" if failed else None)
 
 
 _COMMANDS = {
@@ -393,11 +360,7 @@ def config_from_args(args):
 
     def pick(name, default):
         flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            return file_values[name]
-        return default
+        return flag if flag is not None else file_values.get(name, default)
 
     if not isinstance(file_values, dict):
         raise ValidationError("config file must hold a JSON object")
@@ -449,11 +412,8 @@ def main(argv=None):
         config = config_from_args(args)
         # overflow shows as a non-finite value, which the writers refuse
         with np.errstate(all="ignore"):
-            return _COMMANDS[args.command](config)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvariantViolationError,) as exc:
+            return _emit(config, *_COMMANDS[args.command](config))
+    except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     except LegendreFlowError as exc:

@@ -1,11 +1,12 @@
-"""CSV / SVG / manifest emission.
+"""CSV / SVG / JSON / manifest emission.
 
 Curve sample exchange format, byte for byte: a header line
 ``u,x,y,nu_x,nu_y`` with optional ``beta,ell`` and ``t`` columns, then one
 row per uniform grid point.  Fields are separated by a comma with no
 padding, each value is the shortest string that round-trips the double
 (Python's ``repr``, e.g. ``-0.0``, ``5e-324``, ``1e+308``), and every line,
-the last included, ends in CR LF.  Non-finite values are never written.
+the last included, ends in CR LF.  Numeric tables use the same format with
+their own header.  JSON is compact.  Non-finite values are never written.
 The reader parses with ``csv.reader`` and refuses ragged rows and
 non-numeric, empty or non-finite cells.
 """
@@ -16,50 +17,87 @@ import csv
 import hashlib
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .curves import LegendreCurve, uniform_grid
+from .curves import LegendreCurvature, LegendreCurve, uniform_grid
 from .errors import InvariantViolationError, ValidationError
 
 
-def write_json(path, data, sort_keys=False):
-    """Indented JSON document; refuses NaN and infinities before touching path."""
-    path = Path(path)
+class Table(NamedTuple):
+    """A numeric CSV artifact: a header and rows (an array or lists of numbers)."""
+    header: list
+    rows: list
+
+
+class CurveSamples(NamedTuple):
+    """A curve CSV artifact: the samples, with curvature and time columns if given."""
+    curve: LegendreCurve
+    curvature: LegendreCurvature | None = None
+    t: float | None = None
+
+    def table(self):
+        header = ["u", "x", "y", "nu_x", "nu_y"]
+        columns = [self.curve.grid, self.curve.positions, self.curve.normals]
+        if self.curvature is not None:
+            header += ["beta", "ell"]
+            columns += [self.curvature.beta, self.curvature.ell]
+        if self.t is not None:
+            header += ["t"]
+            columns.append(np.full(self.curve.grid_size, float(self.t)))
+        return Table(header, np.column_stack(columns))
+
+
+def json_text(label, data, sort_keys=False):
+    """Compact JSON document; refuses NaN and infinities."""
     try:
-        text = json.dumps(data, indent=2, sort_keys=sort_keys, allow_nan=False)
+        return json.dumps(data, sort_keys=sort_keys, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise InvariantViolationError(f"{path.name}: non-finite value, not written") from exc
-    path.write_text(text + "\n")
+        raise InvariantViolationError(f"{label}: non-finite value, not written") from exc
+
+
+def write_json(path, data, sort_keys=False):
+    path = Path(path)
+    path.write_text(json_text(path.name, data, sort_keys))
     return path
 
 
-def check_finite(label, curve: LegendreCurve, curvature=None, t=None):
-    """Refuse a curve whose CSV columns would hold NaN or an infinity."""
-    columns = [curve.positions, curve.normals]
-    if curvature is not None:
-        columns += [curvature.beta, curvature.ell]
-    if t is not None:
-        columns.append(t)
-    if not all(np.isfinite(c).all() for c in columns):
-        raise InvariantViolationError(f"{label}: non-finite samples, not written")
+def check_artifact(name, item):
+    """Refuse an artifact that would hold NaN or an infinity; a JSON payload
+    comes back as its text, anything else as given.  An SVG text needs no
+    check: render_svg refuses an overflowing extent."""
+    if isinstance(item, str):
+        return item
+    if not isinstance(item, (Table, CurveSamples)):
+        return json_text(name, item)
+    rows = item.table().rows if isinstance(item, CurveSamples) else item.rows
+    if not np.isfinite(np.asarray(rows, dtype=float)).all():
+        raise InvariantViolationError(f"{name}: non-finite value, not written")
+    return item
+
+
+def write_table(path, header, rows):
+    path = Path(path)
+    check_artifact(path.name, Table(header, rows))
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    path.write_text("\r\n".join(lines) + "\r\n", newline="")
+    return path
 
 
 def write_curve_csv(path, curve: LegendreCurve, curvature=None, t=None):
-    path = Path(path)
-    check_finite(path.name, curve, curvature, t)
-    header = ["u", "x", "y", "nu_x", "nu_y"]
-    columns = [curve.grid, curve.positions, curve.normals]
-    if curvature is not None:
-        header += ["beta", "ell"]
-        columns += [curvature.beta, curvature.ell]
-    if t is not None:
-        header += ["t"]
-        columns.append(np.full(curve.grid_size, float(t)))
-    table = np.column_stack(columns)
-    lines = [",".join(header)]
-    lines += [",".join(map(repr, row)) for row in table.tolist()]
-    path.write_text("\r\n".join(lines) + "\r\n", newline="")
+    return write_table(path, *CurveSamples(curve, curvature, t).table())
+
+
+def write_artifact(path, item):
+    """Write an artifact that check_artifact passed: a curve or table CSV, or text."""
+    if isinstance(item, CurveSamples):
+        return write_curve_csv(path, *item)
+    if isinstance(item, Table):
+        return write_table(path, *item)
+    path.write_text(item)
     return path
 
 
@@ -73,7 +111,7 @@ def read_curve_csv(path):
     try:
         with path.open(newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"{path}: unreadable curve CSV: {exc}") from None
     if not rows:
         raise ValidationError(f"{path}: empty curve CSV")

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (ROTATION_INDEX_TOL, LegendreCurve, angle_unwrap, curvature_from_samples,
-                     uniform_grid)
-from .errors import (ConvexityError, InconsistentNormalFieldError, InvariantViolationError,
-                     ValidationError)
+from .curves import LegendreCurve, angle_unwrap, curvature_from_samples
+from .errors import ConvexityError, InvariantViolationError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -86,30 +84,6 @@ def image_hausdorff_distance(curve_a: LegendreCurve, curve_b: LegendreCurve,
 
     pa, pb = dense(curve_a), dense(curve_b)
     return max(one_sided(pa, pb), one_sided(pb, pa))
-
-
-def build_psi1(ell, n):
-    """Cumulative turning map psi1(v) = (1/n) int_0^v l, trapezoid quadrature.
-
-    Returns the N + 1 node values on [0, 2*pi] (psi1(0) = 0); strictly
-    increasing for l-convex input, with psi1(2*pi) = 2*pi up to quadrature
-    error.
-    """
-    ell = np.asarray(ell, dtype=float)
-    if np.any(ell <= 0.0):
-        raise ConvexityError("l must be positive everywhere")
-    num = ell.shape[0]
-    du = 2.0 * np.pi / num
-    total = du * np.sum(ell)  # periodic trapezoid over the full period
-    index = total / (2.0 * np.pi * n)
-    if abs(index - 1.0) >= ROTATION_INDEX_TOL:
-        raise InconsistentNormalFieldError(
-            f"(1/2pi) int l = {total / (2.0 * np.pi)!r} is inconsistent with "
-            f"rotation index {n}"
-        )
-    closed = np.append(ell, ell[0])
-    psi = np.concatenate([[0.0], np.cumsum(0.5 * du * (closed[:-1] + closed[1:]))]) / n
-    return psi
 
 
 def _invert_monotone(node_values, targets):

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import legendreflow
 from conftest import csv_writer_curve, per_point_render_svg
-from legendreflow.cli import main
+from legendreflow.cli import MAX_MODE, MAX_PROFILE_FREQUENCY, MAX_SAMPLES, main
 from legendreflow.curveio import (
     read_curve_csv,
     render_svg,
@@ -254,7 +254,8 @@ class TestInputFuzz:
                "n": st.one_of(st.integers(-1, 4), _JUNK),
                "a0": st.one_of(_AMPLITUDE, _JUNK),
                "modes": st.one_of(
-                   st.dictionaries(st.sampled_from(["0", "1", "2", "3", "5", "-1", "x"]),
+                   st.dictionaries(st.sampled_from(["0", "1", "2", "3", "5", "-1", "x",
+                                                    str(MAX_MODE + 1)]),
                                    st.one_of(st.lists(_AMPLITUDE, min_size=2, max_size=2),
                                              _JUNK), max_size=3),
                    _JUNK),
@@ -263,7 +264,7 @@ class TestInputFuzz:
                "c1": st.one_of(_AMPLITUDE, _JUNK),
                "c2": st.one_of(_AMPLITUDE, _JUNK),
                "times": st.one_of(st.lists(st.floats(-1.0, 20.0), max_size=3), _JUNK),
-               "samples": st.one_of(st.integers(0, 80), _JUNK),
+               "samples": st.one_of(st.integers(0, 80), st.just(MAX_SAMPLES + 1), _JUNK),
                "catalog": st.booleans(),
                "equation": st.one_of(st.sampled_from(["beta", "phi"]), _JUNK),
                "scheme": st.one_of(st.sampled_from(["explicit_euler", "crank_nicolson"]), _JUNK),
@@ -422,8 +423,10 @@ class TestNonFiniteOutput:
         # the profile is finite, but its SVG extent (and 640 times it) overflows
         ["self-similar", "--n", "1", "--m", "2", "--c1", "1e308"],
         ["self-similar", "--n", "1", "--m", "0", "--c1", "1e308"],
+        # the exact beta at T = 1000 overflows, so the report would hold NaN
+        ["oracle-check", "--mode", "2:1", "--samples", "8", "--dt=0.1", "--T=1000"],
     ], ids=["simulate", "simulate-series", "cusps", "cusps-exponent", "self-similar-width",
-            "self-similar-circle"])
+            "self-similar-circle", "oracle-check"])
     def test_refused_with_exit_3(self, tmp_path, capsys, argv):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -431,7 +434,7 @@ class TestNonFiniteOutput:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("invariant violation:") and "Traceback" not in err
-        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert not (tmp_path / "out").exists()
 
     def test_json_writer_refuses_nan(self, tmp_path):
         with pytest.raises(InvariantViolationError):
@@ -447,6 +450,33 @@ class TestNonFiniteOutput:
         with pytest.raises(InvariantViolationError):
             write_curve_csv(tmp_path / "c.csv", curve, t=float("nan"))
         assert not (tmp_path / "c.csv").exists()
+
+
+class TestManifest:
+    @pytest.mark.parametrize("argv, code", [
+        (["simulate", "--n", "1", "--mode", "2:1", "--times", "0,0.5"], 0),
+        (["self-similar", "--n", "1", "--m", "2", "--c1", "1.5"], 0),
+        (["self-similar", "--catalog"], 0),
+        (["reparam", "--curve", "warped.csv"], 0),
+        (["cusps", "--n", "1", "--a0", "0.01", "--mode", "2:1"], 0),
+        (["converge", "--n", "1", "--mode", "2:1", "--mode", "4:0.1"], 0),
+        (["oracle-check", "--equation", "beta", "--n", "1", "--mode", "2:1",
+          "--samples", "256"], 0),
+        # a failed verdict still writes its report and manifest
+        (["oracle-check", "--equation", "beta", "--n", "2", "--mode", "3:0.2"], 3),
+    ], ids=["simulate", "self-similar", "catalog", "reparam", "cusps", "converge",
+            "oracle-check", "oracle-check-failed"])
+    def test_lists_every_output_with_its_checksum(self, tmp_path, argv, code):
+        u = uniform_grid(256)
+        nu = np.stack([np.sin(u + 0.3 * np.sin(u)), -np.cos(u + 0.3 * np.sin(u))], axis=-1)
+        write_curve_csv(tmp_path / "warped.csv", LegendreCurve(positions=nu, normals=nu))
+        argv = [str(tmp_path / a) if a == "warped.csv" else a for a in argv]
+        outdir = tmp_path / "out"
+        assert run(argv + ["--outdir", str(outdir)]) == code
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert set(manifest["outputs"]) == {p.name for p in outdir.iterdir()} - {"manifest.json"}
+        for name, digest in manifest["outputs"].items():
+            assert sha256_of(outdir / name) == digest
 
 
 class TestNonFiniteInput:
@@ -474,8 +504,13 @@ class TestMalformedInput:
         # a two-character string would unpack as a_k, b_k
         (["simulate"], {"modes": {"2": "12"}}, "config modes"),
         (["simulate"], [{"modes": {"2": [1.0, 0.0]}}], "config file"),
+        # sizes one above their limits, refused before anything is allocated
+        (["simulate", "--mode", "2:1", "--samples", str(MAX_SAMPLES + 1)], None, "--samples"),
+        (["cusps", "--mode", f"{MAX_MODE + 1}:1"], None, "mode indices"),
+        (["self-similar", "--n", "1", "--m", str(MAX_PROFILE_FREQUENCY), "--c1", "1"], None,
+         "n + m"),
     ], ids=["samples-0", "samples-3", "config-mode-scalar", "config-mode-string",
-            "config-list"])
+            "config-list", "samples-limit", "mode-limit", "profile-limit"])
     def test_rejected_with_exit_2(self, tmp_path, capsys, argv, config, named):
         if config is not None:
             (tmp_path / "config.json").write_text(json.dumps(config))

@@ -10,12 +10,11 @@ from legendreflow.curves import (
     curvature_from_samples,
     uniform_grid,
 )
-from legendreflow.errors import ConvexityError, InconsistentNormalFieldError
+from legendreflow.errors import ConvexityError
 from legendreflow.reparam import (
     Reparametrization,
     _invert_monotone,
     _periodic_component_spline,
-    build_psi1,
     image_hausdorff_distance,
     reparametrize,
 )
@@ -28,40 +27,6 @@ def warped_circle(num=512, amplitude=0.3, n=1, harmonic=1):
     nu = np.stack([np.sin(n * psi), -np.cos(n * psi)], axis=-1)
     pos = nu / n
     return LegendreCurve(positions=pos, normals=nu)
-
-
-class TestBuildPsi1:
-    def test_identity_for_constant_ell(self):
-        num = 256
-        psi = build_psi1(np.full(num, 2.0), 2)
-        nodes = np.linspace(0.0, 2.0 * np.pi, num + 1)
-        assert np.max(np.abs(psi - nodes)) < 1e-12
-
-    def test_single_harmonic(self):
-        num = 512
-        v = uniform_grid(num)
-        psi = build_psi1(1.0 + 0.3 * np.cos(v), 1)
-        nodes = np.linspace(0.0, 2.0 * np.pi, num + 1)
-        expected = nodes + 0.3 * np.sin(nodes)
-        assert np.max(np.abs(psi - expected)) < 1e-4  # trapezoid O(du^2)
-
-    def test_index_two_harmonic(self):
-        num = 512
-        v = uniform_grid(num)
-        psi = build_psi1(2.0 + np.cos(2 * v), 2)
-        nodes = np.linspace(0.0, 2.0 * np.pi, num + 1)
-        expected = nodes + 0.25 * np.sin(2 * nodes)
-        assert np.max(np.abs(psi - expected)) < 1e-4
-        assert abs(psi[-1] - 2.0 * np.pi) < 1e-12
-        assert np.all(np.diff(psi) > 0)
-
-    def test_nonpositive_ell_rejected(self):
-        with pytest.raises(ConvexityError):
-            build_psi1(np.full(64, -1.0), 1)
-
-    def test_wrong_index_rejected(self):
-        with pytest.raises(InconsistentNormalFieldError):
-            build_psi1(np.full(64, 1.0), 2)
 
 
 class TestPeriodicSpline:
