@@ -22,7 +22,8 @@ from .curves import (LegendreCurvature, LegendreCurve, angle_unwrap, curvature_f
                      uniform_grid)
 from .errors import InvariantViolationError, LegendreFlowError, ValidationError
 
-#: Largest --samples; oracle-check refines to twice as many points.
+#: Largest --samples and --curve row count; oracle-check refines to twice as
+#: many points, and a --curve input is projected onto K = N/2 - 1 modes.
 MAX_SAMPLES = 2 ** 16
 #: Largest mode index K; cusps solves 2K x 2K companion matrices.
 MAX_MODE = 128
@@ -116,9 +117,18 @@ def _parse_times(text):
         raise ValidationError(f"malformed time list {text!r}") from exc
 
 
+def _read_curve(path):
+    """read_curve_csv, refusing more than MAX_SAMPLES samples before any work on them."""
+    curve, extras = curveio.read_curve_csv(path)
+    if curve.grid_size > MAX_SAMPLES:
+        raise ValidationError(f"{path}: a curve CSV has at most {MAX_SAMPLES} samples, "
+                              f"got {curve.grid_size}")
+    return curve, extras
+
+
 def _spectral_from_config(config: RunConfig):
     if config.curve is not None:
-        curve, extras = curveio.read_curve_csv(config.curve)
+        curve, extras = _read_curve(config.curve)
         beta0 = extras.get("beta", curvature_from_samples(curve).beta)
         return spectral.analyze_beta(beta0, angle_unwrap(curve).rotation_index), curve
     return spectral.SpectralBeta.from_modes(config.n, a0=config.a0, modes=config.modes), None
@@ -189,7 +199,7 @@ def _profile(stem, profile, samples):
 def _cmd_reparam(config: RunConfig):
     if config.curve is None:
         raise ValidationError("reparam needs --curve pointing at a curve CSV")
-    curve, _ = curveio.read_curve_csv(config.curve)
+    curve, _ = _read_curve(config.curve)
     normalized, record = reparam.reparametrize(curve)
     artifact = curveio.CurveSamples(normalized, curvature_from_samples(normalized))
     return ({"normalized.csv": artifact},
@@ -217,7 +227,8 @@ def _cmd_cusps(config: RunConfig):
             "events": [{"interval": e.interval, "t_event": e.t_event,
                         "drop": [e.count_before, e.count_after],
                         "witness": {"u": e.witness_u, "beta": e.witness_beta,
-                                    "dbeta": e.witness_dbeta}}
+                                    "dbeta": e.witness_dbeta},
+                        "certificate": dict(zip(("kind", "radius", "residual"), e.certificate))}
                        for e in events],
         },
         "zero_counts.csv": curveio.Table(["t", "z", "events"], counts),

@@ -49,11 +49,30 @@ meet and halving would not decide, is solved from its roots: the companion
 matrices of a call, built as np.roots builds them, go to one eigvals call per
 degree.
 
-A drop of z(t) is located at its fold, where two zeros meet and leave the
-circle as a root pair: Newton's method on beta = d_u beta = 0 in (u, t)
-starts from the angles of the roots off the circle after the drop, and two
-counts, just before and just after the fold, certify it.  Bisection in t is
-the fallback for a drop no certified fold accounts for.
+A drop of z(t) over an interval (t_lo, t_hi) of the series is located at
+its folds and certified by counting them.  At a zero beta_t = beta_uu/n^2 +
+beta = beta_uu/n^2, so near a degenerate zero (u*, t*) with beta_uu != 0,
+beta ~ (beta_uu/2)((u - u*)^2 + 2(t - t*)/n^2): two zeros 2 sqrt(2(t* - t))/n
+apart before t* and none after, one pair lost.  Every degenerate zero drops
+z by at least 2 (Angenent, J. reine angew. Math. 390, 1988), so when the
+interval holds (z_lo - z_hi)/2 distinct ones there is no other, each drops z
+by exactly 2, and the counts between them are known without a solve.
+Newton's method on F = (beta, d_u beta) = 0 in (u, t) finds the folds, from
+the midpoints between adjacent zeros at t_lo (the cell certificate brackets
+them) at t_lo, (t_lo + t_hi)/2 and t_hi, and the Newton-Kantorovich test
+proves each in the box B = [u0 - r, u0 + r] x [t0 - r, t0 + r] of the max
+norm: with J the Jacobian at the centre x0 and A its inverse, Y = |A|(|F(x0)|
++ rounding) bounds the Newton step, Z0 = |I - AJ| + |A| (rounding of J), and
+Z2 = |A| L with L bounding the derivatives of J on the box by S_pq = sum_k
+k^p |lambda_k|^q |c_k| e^{lambda_k t0 + |lambda_k| FOLD_BOX}.  If Z2 r^2 -
+(1 - Z0) r + Y <= 0 for an r <= FOLD_BOX, x -> x - A F(x) maps B into itself
+as a contraction, so B holds a zero of F.  A fold is certified when B also
+lies inside the interval and keeps |beta_uu| above 0, and the boxes of an
+interval are pairwise disjoint, so their folds are distinct.  Folds less
+than EVENT_DT apart in t are one event.  A drop its certified folds do not
+account for (a fold no start reaches, or a degenerate one such as three
+zeros merging) is certified by counts EVENT_DT/2 before and after each group
+of its folds instead, and bisection in t finds what they leave.
 """
 
 from __future__ import annotations
@@ -81,6 +100,12 @@ CERTIFICATE_MARGIN = 1e-3
 # and how often it halves an undecided cell.
 CELL_GRID = 64
 CELL_DEPTH = 8
+# Newton steps of the fold solve, about how many starts one array iteration
+# takes (its duplicate test compares every pair), and the half-width of the
+# box in (u, t) over which the fold certificate bounds the derivatives of beta.
+NEWTON_STEPS = 40
+NEWTON_STARTS = 512
+FOLD_BOX = 1e-6
 
 
 @dataclass(frozen=True)
@@ -113,6 +138,8 @@ class DecreaseEvent:
     witness_u: float
     witness_beta: float
     witness_dbeta: float
+    # ("fold", box radius, residual), ("probes",) or ("bisection",): see detect_strict_decrease
+    certificate: tuple | None = None
 
 
 def _evolved_rows(s: SpectralBeta, times):
@@ -218,9 +245,10 @@ def _clear(fa, fb, da, db, h, bound, near):
     return low > near
 
 
-def _cell_counts(c):
-    """z per row of c by the cell certificate, or -1 where a cell is still
-    undecided after CELL_DEPTH halvings (see the module docstring)."""
+def _cell_zeros(c):
+    """(z, row, u): z per row of c by the cell certificate, or -1 where a cell
+    is still undecided after CELL_DEPTH halvings (see the module docstring),
+    and for every zero found its row and the secant root in its cell."""
     c = c / np.abs(c).max(axis=1, keepdims=True)    # a tiny row would lose digits
     size = c.shape[1]
     k = np.arange(size)
@@ -239,12 +267,15 @@ def _cell_counts(c):
     lo = np.tile(2.0 * np.pi / num * np.arange(num), c.shape[0])
     h = 2.0 * np.pi / num
     zeros = np.zeros(c.shape[0], dtype=int)
+    found_row, found_u = [], []
     for depth in range(CELL_DEPTH + 1):
         free = _clear(fa[:, 0], fb[:, 0], fa[:, 1], fb[:, 1], h, bound[row, 2], near[row, 0])
         mono = ~free & _clear(fa[:, 1], fb[:, 1], fa[:, 2], fb[:, 2], h, bound[row, 3], near[row, 1])
         # a sign change, 0 taken as +, so a zero on a shared end counts once
-        zeros += np.bincount(row[mono & ((fa[:, 0] < 0.0) != (fb[:, 0] < 0.0))],
-                             minlength=c.shape[0])
+        hit = mono & ((fa[:, 0] < 0.0) != (fb[:, 0] < 0.0))
+        zeros += np.bincount(row[hit], minlength=c.shape[0])
+        found_row.append(row[hit])
+        found_u.append(lo[hit] + h * fa[hit, 0] / (fa[hit, 0] - fb[hit, 0]))
         undecided = ~(free | mono)
         row, lo, fa, fb = row[undecided], lo[undecided], fa[undecided], fb[undecided]
         if depth == CELL_DEPTH or row.shape[0] == 0:
@@ -255,7 +286,12 @@ def _cell_counts(c):
         row, lo = np.concatenate([row, row]), np.concatenate([lo, mid])
         fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
     zeros[row] = -1
-    return zeros
+    return zeros, np.concatenate(found_row), np.concatenate(found_u)
+
+
+def _cell_counts(c):
+    """z per row of c by the cell certificate, -1 where it does not decide."""
+    return _cell_zeros(c)[0]
 
 
 def _circle_counts(rows):
@@ -346,79 +382,203 @@ def report_series(s: SpectralBeta, times):
     return reports
 
 
-def _refine_witness(s, u, t, lo, hi):
-    """Polish a degenerate zero beta = d_u beta = 0 from (u, t) by Newton's
-    method with the exact Jacobian [[d_u beta, d_t beta], [d_u^2 beta,
-    d_t d_u beta]].
-
-    Once the steps fall below 1e-13 the iterate with the smallest
-    |beta| + |d_u beta| is returned: the last step's rounding may land a
-    little off the best one.  None if Newton does not converge into
-    [lo, hi]."""
-    lam, best, residual, done = s.eigenvalues(), None, np.inf, False
-    with np.errstate(all="ignore"):
-        for _ in range(13):
-            if not (np.isfinite(u) and abs(t) < 1e3 * max(1.0, hi)):
-                return None  # diverged
-            c, _ = _evolved(s, t)
-            b, bt, bu, btu, buu = _derivatives(c, [u], ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0)),
-                                               lam[: c.shape[0]])[0]
-            if lo <= t <= hi and abs(b) + abs(bu) < residual:
-                best, residual = (u, t), abs(b) + abs(bu)
-            if done:
-                break
-            det = bu * btu - bt * buu
-            du, dt = (bt * bu - b * btu) / det, (b * buu - bu * bu) / det
-            u, t = u + du, t + dt
-            done = abs(du) < 1e-13 and abs(dt) < 1e-13 * max(1.0, abs(t))
-    if not done or best is None:
-        return None
-    return float(np.mod(best[0], 2.0 * np.pi)), float(best[1])
-
-
-def _folds(s, lo, hi, pairs, roots):
-    """Degenerate zeros (u, t) with lo < t < hi at distinct times, sorted by t.
-
-    A zero pair lost at a fold leaves the circle as a root pair z, 1/conj(z)
-    at the fold's angle, so Newton on beta = d_u beta = 0 in (u, t) starts
-    from the angle of every root outside the circle at hi (roots), at t = lo,
-    (lo + hi)/2 and hi.  All starts run as one array iteration, which stops
-    once the folds of the given number of lost pairs are found; each fold is
-    then polished by _refine_witness."""
-    u = np.tile(np.angle(roots[np.abs(roots) > 1.0 + UNIT_CIRCLE_TOL]), 3)
-    t = np.repeat([lo, 0.5 * (lo + hi), hi], u.shape[0] // 3)
+def _jets(s, orders):
+    """jet(u, t) -> (columns d_u^p d_t^q beta(u_i, t_i) / S_0(t_i) for (p, q) in
+    orders, w): every (u_i, t_i) at once, w_i the coefficients c_k e^{lambda_k
+    t_i} / S_0(t_i) with S_0(t) = sum_k |c_k| e^{lambda_k t}, which bounds
+    |beta(., t)|; the largest growth factor is divided out first."""
     c0, lam = s.cos_coeffs - 1j * s.sin_coeffs, s.eigenvalues()
-    live, k = c0 != 0.0, np.arange(c0.shape[0])
-    # Re sum_k w_k e^{iku} o_k over the columns o of orders: beta, d_t, d_u, d_t d_u, d_u^2
-    orders = np.stack([np.ones_like(lam), lam, 1j * k, 1j * k * lam, -k * k], 1)
+    k = np.arange(c0.shape[0])
+    live = c0 != 0.0
+    columns = np.stack([(1j * k) ** p * lam ** q for p, q in orders], 1)
+
+    def jet(u, t):
+        rate = np.where(live, np.multiply.outer(t, lam), -np.inf)
+        w = c0 * np.exp(rate - rate.max(axis=1, keepdims=True))
+        w /= np.abs(w).sum(axis=1, keepdims=True)
+        return np.real((w * np.exp(1j * np.multiply.outer(u, k))) @ columns), w
+
+    return jet
+
+
+def _newton(s, u, t, lo, hi, pairs, group):
+    """Degenerate zeros beta = d_u beta = 0 by Newton's method in (u, t) with
+    the exact Jacobian [[d_u beta, d_t beta], [d_u^2 beta, d_t d_u beta]],
+    from every start (u_i, t_i) as one array iteration; start i looks for a
+    fold of interval group[i], lo < t < hi, which loses pairs zero pairs.
+
+    Once a start's steps fall below 1e-13 its iterates in its interval are
+    candidates, and the one with the smallest residual |beta| + |d_u beta|
+    (over S_0) is its fold: the last step's rounding may land a little off
+    the best one.  The iteration stops when every interval has as many
+    distinct folds as it loses pairs, or every start has converged or
+    diverged.  Returns per interval the distinct folds (u, t, residual),
+    sorted by t."""
+    jet = _jets(s, ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0)))
+    u, t = np.asarray(u, dtype=float), np.asarray(t, dtype=float)
+    lo_i, hi_i = lo[group], hi[group]
+    best, fold_u, fold_t = np.full(u.shape, np.inf), u, t
+    polish = np.zeros(u.shape, dtype=bool)
     with np.errstate(all="ignore"):
-        for _ in range(30):
-            rate = np.where(live, np.multiply.outer(t, lam), -np.inf)
-            w = c0 * np.exp(rate - rate.max(axis=1, keepdims=True))
-            b, bt, bu, btu, buu = np.real((w * np.exp(1j * np.multiply.outer(u, k))) @ orders).T
+        for _ in range(NEWTON_STEPS):
+            b, bt, bu, btu, buu = jet(u, t)[0].T
+            residual = np.abs(b) + np.abs(bu)
+            better = polish & (lo_i < t) & (t < hi_i) & (residual < best)
+            best = np.where(better, residual, best)
+            fold_u, fold_t = np.where(better, u, fold_u), np.where(better, t, fold_t)
+            found = best < np.inf
+            if np.all(found | polish | ~np.isfinite(u + t)) or (
+                    np.count_nonzero(found) >= pairs.sum() and np.all(np.bincount(
+                        group[_distinct(fold_u, fold_t, best, group, hi)],
+                        minlength=pairs.shape[0]) >= pairs)):
+                break
             det = bu * btu - bt * buu
             du, dt = (bt * bu - b * btu) / det, (b * buu - bu * bu) / det
             u, t = u + du, t + dt
-            done = (np.abs(du) < 1e-13) & (np.abs(dt) < 1e-13 * np.maximum(1.0, np.abs(t)))
-            inside = np.flatnonzero(done & (lo < t) & (t < hi))
-            inside = inside[np.argsort(t[inside])]
-            distinct = inside[np.diff(t[inside], prepend=-np.inf) > 1e-10 * hi]
-            if distinct.size >= pairs or np.all(done | ~np.isfinite(u + t)):
-                break
-    polished = (_refine_witness(s, u[i], t[i], lo, hi) for i in distinct)
-    return [fold for fold in polished if fold is not None and lo < fold[1] < hi]
+            polish = (np.abs(du) < 1e-13) & (np.abs(dt) < 1e-13 * np.maximum(1.0, np.abs(t)))
+    folds = [[] for _ in pairs]
+    for i in _distinct(fold_u, fold_t, best, group, hi):
+        folds[group[i]].append((float(np.mod(fold_u[i], 2.0 * np.pi)), float(fold_t[i]),
+                                float(best[i])))
+    return folds
 
 
-def _event(s, interval, t_event, before, after, u):
-    c, _ = _evolved(s, t_event)
-    wbeta, wdbeta = _derivatives(c, [u], ((0, 0), (1, 0)))[0] / _sup(c)
-    return DecreaseEvent((float(interval[0]), float(interval[1])), float(t_event),
-                         int(before), int(after), float(u), float(wbeta), float(wdbeta))
+def _distinct(u, t, residual, group, hi):
+    """Indices of the found folds (finite residual) with none of smaller
+    residual in the same interval within 1e-9 in u and 1e-10 hi in t,
+    sorted by interval, then by t."""
+    i = np.flatnonzero(residual < np.inf)
+    i = i[np.argsort(residual[i], kind="stable")]
+    same = ((_gaps(u[i]) < 1e-9) & (np.abs(t[i, None] - t[i]) < 1e-10 * hi[group[i]][:, None])
+            & (group[i, None] == group[i]))
+    i = i[~np.tril(same, -1).any(axis=1)]
+    return i[np.lexsort((t[i], group[i]))]
+
+
+def _folds(s, lo, hi, pairs, starts):
+    """Per drop interval (lo, hi) that loses pairs zero pairs, its folds (u,
+    t, residual): _newton from each of its start angles at t = lo, (lo +
+    hi)/2 and hi, the intervals whose starts begin within the same
+    NEWTON_STARTS as one iteration."""
+    size = np.array([3 * x.shape[0] for x in starts])
+    chunk = (np.cumsum(size) - size) // NEWTON_STARTS
+    folds = []
+    for c in np.unique(chunk):
+        i = np.flatnonzero(chunk == c)
+        group = np.repeat(np.arange(i.shape[0]), size[i] // 3)
+        t = np.stack([lo[i], 0.5 * (lo[i] + hi[i]), hi[i]])[:, group].ravel()
+        folds += _newton(s, np.tile(np.concatenate([starts[j] for j in i]), 3), t,
+                         lo[i], hi[i], pairs[i], np.tile(group, 3))
+    return folds
+
+
+def _fold_boxes(s, u, t, lo, hi):
+    """Per fold (u, t) the radius r of a box [u - r, u + r] x [t - r, t + r]
+    inside lo < t < hi that holds a degenerate zero with d_u^2 beta != 0 on
+    all of it, by the Newton-Kantorovich test in the module docstring; nan
+    where the test fails."""
+    values, w = _jets(s, ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1)))(u, t)
+    b, bu, bt, buu, but = values.T
+    lam = np.abs(s.eigenvalues())
+    k = np.arange(lam.shape[0])
+    mag = np.abs(w)
+    # sup over the box of |d_u^p d_t^q beta| / S_0 for (p, q) = (2, 0), (1, 1),
+    # (0, 2), (3, 0), (2, 1), (1, 2), and the rounding of the values at its
+    # centre, each term's phase and growth factor off by eps times their
+    # arguments, for (0, 0), (1, 0), (0, 1), (2, 0), (1, 1)
+    s20, s11, s02, s30, s21, s12 = ((mag * np.exp(lam * FOLD_BOX)) @ np.stack(
+        [k * k, k * lam, lam * lam, k ** 3, k * k * lam, k * lam * lam], 1)).T
+    slack = 16.0 * np.finfo(float).eps * (2.0 + 2.0 * np.pi * k[-1] + 2.0 * lam.max() * t)
+    e00, e10, e01, e20, e11 = slack * (mag @ np.stack(
+        [np.ones_like(lam), k, lam, k * k, k * lam], 1)).T
+
+    def matrix(a, b, c, d):
+        return np.stack([np.stack([a, b], -1), np.stack([c, d], -1)], -2)
+
+    with np.errstate(all="ignore"):
+        inverse = matrix(but, -bt, -buu, bu) / (bu * but - bt * buu)[:, None, None]
+        size = np.abs(inverse)
+        y0 = (size @ np.stack([np.abs(b) + e00, np.abs(bu) + e10], -1)[..., None])[..., 0]
+        z0 = np.abs(np.eye(2) - inverse @ matrix(bu, bt, buu, but)) \
+            + size @ matrix(e10, e01, e20, e11)
+        z2 = size @ matrix(s20 + s11, s11 + s02, s30 + s21, s21 + s12)
+        y0, gap, z2 = y0.max(-1), 1.0 - z0.sum(-1).max(-1), z2.sum(-1).max(-1)
+        r = 2.0 * y0 / (gap + np.sqrt(gap * gap - 4.0 * z2 * y0))
+        ok = ((gap > 0.0) & (r <= FOLD_BOX) & (lo < t - r) & (t + r < hi)
+              & (np.abs(buu) - e20 - (s30 + s21) * r > 0.0))
+    return np.where(ok, r, np.nan)
+
+
+def _accounted(s, lo, hi, pairs, folds):
+    """Per interval the box radii of its folds when they are as many
+    certified folds in pairwise disjoint boxes as it loses pairs, which
+    accounts for every fold in it (see the module docstring); else None."""
+    size = np.array([len(f) for f in folds])
+    group = np.repeat(np.arange(size.shape[0]), size)
+    u, t = (np.array([fold[j] for f in folds for fold in f]) for j in (0, 1))
+    r = _fold_boxes(s, u, t, lo[group], hi[group])
+    meet = (group[:, None] == group) & (np.maximum(_gaps(u), np.abs(t[:, None] - t))
+                                        <= r[:, None] + r)
+    np.fill_diagonal(meet, False)
+    refused = np.bincount(group[np.isnan(r) | meet.any(axis=1)], minlength=size.shape[0])
+    return [radii if n == p and not bad else None
+            for radii, n, p, bad in zip(np.split(r, np.cumsum(size)[:-1]), size, pairs, refused)]
+
+
+def _gaps(u):
+    """|u_i - u_j| on the circle for every pair."""
+    return np.abs(np.mod(u[:, None] - u + np.pi, 2.0 * np.pi) - np.pi)
+
+
+def _groups(folds):
+    """The folds in time order as lists of folds less than EVENT_DT apart in
+    t: each list is one event."""
+    groups = []
+    for fold in folds:
+        if groups and fold[1] - groups[-1][-1][1] < EVENT_DT:
+            groups[-1].append(fold)
+        else:
+            groups.append([fold])
+    return groups
+
+
+def _events(s, raw):
+    """DecreaseEvents from (interval, t_event, before, after, u, certificate),
+    the witnesses beta and d_u beta over S_0 evaluated in one call."""
+    if not raw:
+        return []
+    u, t = np.array([e[4] for e in raw]), np.array([e[1] for e in raw])
+    with np.errstate(all="ignore"):
+        witness = _jets(s, ((0, 0), (1, 0)))(u, t)[0]
+    return [DecreaseEvent((float(lo), float(hi)), float(t_event), int(before), int(after),
+                          float(wu), float(wbeta), float(wdbeta), certificate)
+            for ((lo, hi), t_event, before, after, wu, certificate), (wbeta, wdbeta)
+            in zip(raw, witness)]
+
+
+def _starts(s, lo, z_lo, hi):
+    """Newton start angles per drop interval: the midpoints between adjacent
+    zeros at lo, where the cell certificate brackets each zero; for a row it
+    leaves undecided, the angles of the roots off the circle at hi."""
+    counts, row, zeros = _cell_zeros(_evolved_rows(s, lo)[0])
+    order = np.lexsort((zeros, row))
+    row, zeros = row[order], zeros[order]
+    size = np.bincount(row, minlength=lo.shape[0])
+    # each zero's next one in its row, the last one's the first one
+    last = np.r_[row[1:] != row[:-1], True]
+    following = np.where(last, zeros[(np.cumsum(size) - size)[row]] + 2.0 * np.pi,
+                         np.r_[zeros[1:], 0.0])
+    starts = np.split(0.5 * (zeros + following), np.cumsum(size)[:-1])
+    open_ = np.flatnonzero(counts != z_lo)
+    if open_.size:
+        for i, roots in zip(open_, _roots(_evolved_rows(s, hi[open_])[1])):
+            starts[i] = np.angle(roots[np.abs(roots) > 1.0 + UNIT_CIRCLE_TOL])
+    return starts
 
 
 def _bisect(s, t_lo, t_hi, z_hi, cur_t, cur_z):
     """The events of the drops from cur_z at cur_t down to z_hi at t_hi, each
-    bracketed by bisection in t to EVENT_DT; the witness is the Newton solve
+    bracketed by bisection in t to EVENT_DT; the witness is _newton's fold
     from the bracket's midpoint and the angle of the root pair that left the
     circle at its end (the bracket's midpoint and that angle if it fails)."""
     events = []
@@ -435,9 +595,10 @@ def _bisect(s, t_lo, t_hi, z_hi, cur_t, cur_z):
         gap = np.abs(np.abs(roots) - 1.0)
         start = float(np.mod(np.angle(roots[np.argmin(
             np.where(gap < UNIT_CIRCLE_TOL, np.inf, gap))]), 2.0 * np.pi))
-        wu, t_event = _refine_witness(s, start, 0.5 * (lo + hi), lo, hi) \
-            or (start, 0.5 * (lo + hi))
-        events.append(_event(s, (t_lo, t_hi), t_event, cur_z, z_after, wu))
+        [fold] = _newton(s, [start], [0.5 * (lo + hi)], np.array([lo]), np.array([hi]),
+                         np.array([1]), np.zeros(1, dtype=int))
+        wu, t_event = fold[0][:2] if fold else (start, 0.5 * (lo + hi))
+        events.append(((t_lo, t_hi), t_event, cur_z, z_after, wu, ("bisection",)))
         cur_t, cur_z = hi, z_after
     return events
 
@@ -447,45 +608,61 @@ def detect_strict_decrease(s: SpectralBeta, series):
 
     In each drop interval the folds, the degenerate zeros where a zero pair
     is lost, are solved for by Newton's method (_folds), and folds less than
-    EVENT_DT apart make one event.  Taken in time order, the folds from t0 to
-    t* are an event when the count is still the current one at
-    t0 - EVENT_DT/2 and lower at t* + EVENT_DT/2 (the series' own count past
-    the interval's end).  The fold at t* is the witness and t* is t_event.
-    Only a drop the certified folds do not account for (a fold no Newton
-    start reaches, or one the counts do not certify) is bracketed by
-    bisection in t instead (_bisect).
+    EVENT_DT apart make one event, whose last fold is the witness and whose
+    time t_event.  When the interval holds one certified fold per lost pair
+    (_accounted), each fold drops the count by 2.  Otherwise the counts at
+    t0 - EVENT_DT/2 and t* + EVENT_DT/2 certify the event of the folds from
+    t0 to t*, and a drop they do not account for is bracketed by bisection
+    in t instead (_bisect).
     """
     drops = [(t_lo, z_lo, t_hi, z_hi)
              for (t_lo, z_lo), (t_hi, z_hi) in zip(series, series[1:]) if z_hi < z_lo]
-    ends = _roots(_evolved_rows(s, [drop[2] for drop in drops])[1])
-    folds, before, after = [], [], []
-    for (t_lo, z_lo, t_hi, z_hi), roots in zip(drops, ends):
-        groups = []  # [t of the first fold, u and t of the last]
-        for u, t in _folds(s, t_lo, t_hi, (z_lo - z_hi) // 2, roots):
-            if groups and t - groups[-1][2] < EVENT_DT:
-                groups[-1][1:] = [u, t]
-            else:
-                groups.append([t, u, t])
-        folds.append(groups)
-        before += [t0 - 0.5 * EVENT_DT for t0, _, _ in groups]
-        after += [t + 0.5 * EVENT_DT for _, _, t in groups if t + 0.5 * EVENT_DT < t_hi]
-    # the certifying counts of every interval as one stack; a count this near
-    # a fold, where two zeros are about to meet, goes straight to the roots
-    probes = _circle_counts(_evolved_rows(s, before + after)[1])
+    if not drops:
+        return []
+    lo, z_lo, hi, z_hi = (np.array(column) for column in zip(*drops))
+    pairs = (z_lo - z_hi) // 2
+    folds = _folds(s, lo, hi, pairs, _starts(s, lo, z_lo, hi)) or [[] for _ in drops]
+    raw, probed = [], []
+    for drop, found, radius in zip(drops, folds, _accounted(s, lo, hi, pairs, folds)):
+        t_lo, z, t_hi, _ = drop
+        if radius is None:
+            probed.append((drop, _groups(found)))
+            continue
+        for group in _groups([fold + (r,) for fold, r in zip(found, radius.tolist())]):
+            u, t = group[-1][:2]
+            certificate = ("fold", max(f[3] for f in group), max(f[2] for f in group))
+            raw.append(((t_lo, t_hi), t, z, z - 2 * len(group), u, certificate))
+            z -= 2 * len(group)
+    raw += _probed(s, probed)
+    raw.sort(key=lambda event: event[0][0])   # stable: each interval's events stay in order
+    return _events(s, raw)
+
+
+def _probed(s, probed):
+    """The events of the drops (t_lo, z_lo, t_hi, z_hi) their folds do not
+    account for, from the groups of those folds.  Taken in time order, the
+    folds from t0 to t* are an event when the count is still the current one
+    at t0 - EVENT_DT/2 and lower at t* + EVENT_DT/2 (the series' own count
+    past the interval's end); these counts, taken where two zeros are about
+    to meet, go to the roots as one stack.  What they leave is bisected."""
+    before = [group[0][1] - 0.5 * EVENT_DT for _, groups in probed for group in groups]
+    after = [group[-1][1] + 0.5 * EVENT_DT for (_, _, t_hi, _), groups in probed
+             for group in groups if group[-1][1] + 0.5 * EVENT_DT < t_hi]
+    probes = _circle_counts(_evolved_rows(s, before + after)[1]) if before else []
     z_before, z_after = iter(probes[: len(before)]), iter(probes[len(before):])
-    events = []
-    for (t_lo, z_lo, t_hi, z_hi), groups in zip(drops, folds):
-        # the series' own z_hi past the interval's end
-        counts = [(next(z_before), next(z_after) if t + 0.5 * EVENT_DT < t_hi else z_hi)
-                  for _, _, t in groups]
+    raw = []
+    for (t_lo, z_lo, t_hi, z_hi), groups in probed:
+        counts = [(next(z_before), next(z_after) if group[-1][1] + 0.5 * EVENT_DT < t_hi else z_hi)
+                  for group in groups]
         cur_t, cur_z = t_lo, z_lo
-        for (_, wu, t_event), (zb, za) in zip(groups, counts):
+        for group, (zb, za) in zip(groups, counts):
             if cur_z == z_hi or zb != cur_z or za >= cur_z:
                 break
-            events.append(_event(s, (t_lo, t_hi), t_event, cur_z, za, wu))
-            cur_t, cur_z = t_event + 0.5 * EVENT_DT, za
-        events += _bisect(s, t_lo, t_hi, z_hi, cur_t, cur_z)
-    return events
+            u, t = group[-1][:2]
+            raw.append(((t_lo, t_hi), t, cur_z, za, u, ("probes",)))
+            cur_t, cur_z = t + 0.5 * EVENT_DT, za
+        raw += _bisect(s, t_lo, t_hi, z_hi, cur_t, cur_z)
+    return raw
 
 
 def __getattr__(name):

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import legendreflow
 from conftest import csv_writer_curve, per_point_render_svg
+from legendreflow import spectral
 from legendreflow.cli import MAX_MODE, MAX_PROFILE_FREQUENCY, MAX_SAMPLES, main
 from legendreflow.curveio import (
     read_curve_csv,
@@ -137,6 +138,9 @@ class TestCusps:
         report = json.loads((tmp_path / "cusp_report.json").read_text())
         assert len(report["events"]) == 1
         assert abs(report["events"][0]["t_event"] - np.log(100.0) / 4.0) < 1e-3
+        certificate = report["events"][0]["certificate"]
+        assert certificate["kind"] == "fold"
+        assert 0.0 < certificate["radius"] < 1e-12 and 0.0 <= certificate["residual"] < 1e-12
 
     def test_certificate_of_a_pure_mode(self, tmp_path):
         code = run(["cusps", "--mode", "2:1", "--outdir", str(tmp_path)])
@@ -539,6 +543,25 @@ class TestMalformedInput:
             assert code == 2, command
             err = capsys.readouterr().err
             assert "curve.csv" in err and "Traceback" not in err
+            assert not outdir.exists()
+
+    def test_curve_over_the_sample_limit_rejected_with_exit_2(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # N samples project onto K = N/2 - 1 modes; at N = MAX_SAMPLES + 1
+        # analyze_beta would build two dense K x N matrices, about 34 GB
+        def projection(*args):
+            raise AssertionError("the projection ran")
+
+        monkeypatch.setattr(spectral, "analyze_beta", projection)
+        src = tmp_path / "curve.csv"
+        s = SpectralBeta.from_modes(1, modes={2: (1.0, 0.0)})
+        write_curve_csv(src, reconstruct_centered_curve(s, MAX_SAMPLES + 1))
+        for command in ("cusps", "simulate", "converge", "reparam"):
+            outdir = tmp_path / command
+            code = run([command, "--curve", str(src), "--outdir", str(outdir)])
+            assert code == 2, command
+            err = capsys.readouterr().err
+            assert f"at most {MAX_SAMPLES} samples" in err and "Traceback" not in err
             assert not outdir.exists()
 
     @pytest.mark.parametrize("config", [

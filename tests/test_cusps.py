@@ -285,6 +285,19 @@ class TestWitnessRegressions:
             assert star is not None
             assert abs(star[1] - event.t_event) < 1e-4
 
+    def test_shallow_fold_witness(self):
+        # candidate 499 of the benchmark pool: at its shallow fold near t =
+        # 1.538 a Newton solve that takes only steps below 1e-14 as converged
+        # 2-cycles from about half of the points one ulp off
+        s = random_closed_spectral(np.random.default_rng([20251006, 499]), max_truncation=12)
+        series = zero_count_series(s, np.geomspace(0.01, 10.0, 30))
+        events = detect_strict_decrease(s, series)
+        assert any(abs(e.t_event - 1.5384) < 1e-4 for e in events)
+        for event in events:
+            star = degenerate_zero_near(s, event.witness_u, event.t_event)
+            assert star is not None
+            assert abs(star[1] - event.t_event) <= 1e-13
+
 
 def _event_key(events):
     return [(e.interval, e.count_before, e.count_after) for e in events]
@@ -366,22 +379,102 @@ class TestFoldLocator:
             assert abs(event.witness_beta) < 1e-12 and abs(event.witness_dbeta) < 1e-12
 
     def test_bisection_fallback_reached_where_newton_misses(self, monkeypatch):
-        # candidate 1477 of the benchmark pool: no Newton start reaches the
-        # fold in (0.221, 0.281), so bisection finds that event
+        # candidate 1477 of the benchmark pool: the starts from the roots off
+        # the circle at the interval's end miss the fold in (0.221, 0.281),
+        # the starts between adjacent zeros at its beginning reach it.  With
+        # that fold hidden from _folds, bisection finds the event
         s = random_closed_spectral(np.random.default_rng([20251006, 1477]),
                                    max_truncation=12)
         series = zero_count_series(s, self.TIMES)
-        bisect, bisected = cusps._bisect, []
-
-        def spy(*args):
-            found = bisect(*args)
-            bisected.extend(found)
-            return found
-
-        monkeypatch.setattr(cusps, "_bisect", spy)
+        reference = _event_key(bisection_strict_decrease(s, series))
         events = detect_strict_decrease(s, series)
-        assert _event_key(events) == _event_key(bisection_strict_decrease(s, series))
+        assert _event_key(events) == reference
+        [event] = [e for e in events if e.interval[0] == pytest.approx(0.2212216)]
+        assert event.certificate[0] == "fold"
+        folds = cusps._folds
+
+        def missing(s, lo, hi, pairs, starts):
+            found = folds(s, lo, hi, pairs, starts)
+            return [[] if t == pytest.approx(0.2212216) else f for f, t in zip(found, lo)]
+
+        monkeypatch.setattr(cusps, "_folds", missing)
+        events = detect_strict_decrease(s, series)
+        assert _event_key(events) == reference
+        bisected = [e for e in events if e.certificate == ("bisection",)]
         assert len(bisected) == 1 and bisected[0].interval[0] == pytest.approx(0.2212216)
         for event in events:
             star = degenerate_zero_near(s, event.witness_u, event.t_event)
             assert abs(star[1] - event.t_event) <= 1e-13
+
+    def test_counts_certify_refused_folds(self, monkeypatch):
+        # acceptance test 05's draws with every fold box refused: the counts
+        # next to each group of folds certify the events instead
+        monkeypatch.setattr(cusps, "_fold_boxes", lambda s, u, t, lo, hi: np.full(u.shape, np.nan))
+        rng = np.random.default_rng(777)
+        for _ in range(10):
+            s = random_closed_spectral(rng, max_truncation=6)
+            series = zero_count_series(s, self.TIMES)
+            events = detect_strict_decrease(s, series)
+            reference = bisection_strict_decrease(s, series)
+            assert _event_key(events) == _event_key(reference)
+            for event, ref in zip(events, reference):
+                assert event.certificate == ("probes",)
+                assert abs(event.t_event - ref.t_event) <= 1e-13
+
+    def test_event_solve_budget(self, root_solves):
+        # acceptance test 05's draws: every event is certified by its folds,
+        # with no companion solve but for the Newton starts of a drop whose
+        # first row the cell certificate leaves undecided
+        rng = np.random.default_rng(777)
+        solves = undecided = 0
+        events = []
+        for _ in range(100):
+            s = random_closed_spectral(rng, max_truncation=6)
+            series = zero_count_series(s, self.TIMES)
+            lows = [t for (t, z), (_, z1) in zip(series, series[1:]) if z1 < z]
+            if lows:
+                undecided += int(np.sum(cusps._cell_counts(cusps._evolved_rows(s, lows)[0]) < 0))
+            before = len(root_solves)
+            events += detect_strict_decrease(s, series)
+            solves += len(root_solves) - before
+        assert len(events) > 100
+        assert solves <= undecided
+        assert {e.certificate[0] for e in events} == {"fold"}
+
+
+class TestFoldCertificate:
+    """_fold_boxes proves a box around a fold holds a degenerate zero with
+    d_u^2 beta != 0, or refuses."""
+
+    def test_two_mode_fold_certified(self):
+        # n = 1: 0.01 e^t + e^{-3t} cos 2u has its folds at pi/2 and 3 pi/2
+        # at t* = ln(100)/4
+        s = SpectralBeta.from_modes(1, a0=0.01, modes={2: (1.0, 0.0)})
+        t_star = np.log(100.0) / 4.0
+        u = np.array([np.pi / 2, 3 * np.pi / 2])
+        radius = cusps._fold_boxes(s, u, np.full(2, t_star), np.full(2, 0.5), np.full(2, 2.0))
+        assert np.all(radius < 1e-12)
+        star = degenerate_zero_near(s, np.pi / 2, t_star)
+        assert abs(star[1] - t_star) <= radius[0]
+
+    def test_off_the_fold_refused(self):
+        s = SpectralBeta.from_modes(1, a0=0.01, modes={2: (1.0, 0.0)})
+        t_star = np.log(100.0) / 4.0
+        # 1e-3 off in t or in u, or a box that crosses the interval's end
+        u = np.array([np.pi / 2, np.pi / 2 + 1e-3, np.pi / 2])
+        t = np.array([t_star + 1e-3, t_star, t_star])
+        hi = np.array([2.0, 2.0, t_star + 1e-15])
+        assert np.isnan(cusps._fold_boxes(s, u, t, np.full(3, 0.5), hi)).all()
+
+    def test_three_zeros_merging_refused(self):
+        # n = 2, 0.05 cos u + cos 3u: three zeros merge at u = pi/2 and at
+        # 3 pi/2 when t = ln(60)/2, where d_u^2 beta = 0 and the Jacobian is
+        # singular; test_bisection_fallback_on_three_zeros_merging sees the
+        # fallback find that event
+        s = SpectralBeta.from_modes(2, modes={1: (0.05, 0.0), 3: (1.0, 0.0)})
+        t_star = np.log(60.0) / 2.0
+        u = np.array([np.pi / 2, 3 * np.pi / 2])
+        assert np.isnan(cusps._fold_boxes(s, u, np.full(2, t_star), np.full(2, 0.5),
+                                          np.full(2, 3.0))).all()
+        events = detect_strict_decrease(s, zero_count_series(s, [0.5, 3.0]))
+        assert {e.certificate[0] for e in events} <= {"probes", "bisection"}
