@@ -4,6 +4,9 @@ Subcommands: simulate, self-similar, reparam, cusps, converge, oracle-check.
 Configuration may come from a single JSON document (--config); explicit
 flags override file values.  Exit codes: 0 success, 2 validation error,
 3 invariant violation detected during a verification run.
+
+Only the layers every command uses load with this module; each command
+imports its own (cusps, fd, reparam, asymptotics or selfsimilar) when it runs.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, asymptotics, cusps, curveio, fd, reparam, selfsimilar, spectral
-from .curves import (LegendreCurvature, LegendreCurve, angle_unwrap, curvature_from_samples,
-                     uniform_grid)
+from . import __version__, curveio, spectral
+from .curves import (MIN_POINTS, SCHEMES, LegendreCurvature, LegendreCurve, angle_unwrap,
+                     curvature_from_samples, uniform_grid)
 from .errors import InvariantViolationError, LegendreFlowError, ValidationError
 
 #: Largest --samples and --curve row count; oracle-check refines to twice as
@@ -53,8 +56,8 @@ class RunConfig:
     def validate(self):
         if not isinstance(self.outdir, str) or not isinstance(self.curve, (str, type(None))):
             raise ValidationError("outdir and curve must be paths")
-        if self.equation not in ("beta", "phi") or self.scheme not in fd.SCHEMES:
-            raise ValidationError(f"equation must be beta or phi and scheme one of {fd.SCHEMES}, "
+        if self.equation not in ("beta", "phi") or self.scheme not in SCHEMES:
+            raise ValidationError(f"equation must be beta or phi and scheme one of {SCHEMES}, "
                                   f"got {self.equation!r} and {self.scheme!r}")
         numbers = [*self.times, self.a0, self.c1 or 0.0, self.c2, self.dt, self.final_time,
                    *(c for pair in self.modes.values() for c in pair)]
@@ -63,8 +66,8 @@ class RunConfig:
         if self.command == "oracle-check" and not (self.dt > 0.0 and self.final_time > 0.0):
             raise ValidationError(f"oracle-check needs dt > 0 and T > 0, got {self.dt!r} and "
                                   f"{self.final_time!r}")
-        if not fd.MIN_POINTS <= self.samples <= MAX_SAMPLES:
-            raise ValidationError(f"--samples must be between {fd.MIN_POINTS} and {MAX_SAMPLES}, "
+        if not MIN_POINTS <= self.samples <= MAX_SAMPLES:
+            raise ValidationError(f"--samples must be between {MIN_POINTS} and {MAX_SAMPLES}, "
                                   f"got {self.samples}")
         if max(self.modes, default=0) > MAX_MODE:
             raise ValidationError(f"mode indices must be at most {MAX_MODE}, "
@@ -129,7 +132,7 @@ def _read_curve(path):
 def _spectral_from_config(config: RunConfig):
     if config.curve is not None:
         curve, extras = _read_curve(config.curve)
-        beta0 = extras.get("beta", curvature_from_samples(curve).beta)
+        beta0 = extras["beta"] if "beta" in extras else curvature_from_samples(curve).beta
         return spectral.analyze_beta(beta0, angle_unwrap(curve).rotation_index), curve
     return spectral.SpectralBeta.from_modes(config.n, a0=config.a0, modes=config.modes), None
 
@@ -160,6 +163,8 @@ def _cmd_simulate(config: RunConfig):
 
 
 def _cmd_self_similar(config: RunConfig):
+    from . import selfsimilar
+
     if config.catalog:
         artifacts, rows = {}, []
         for n, m, c1, c2 in selfsimilar.GALLERY_PROFILES:
@@ -187,6 +192,8 @@ def _cmd_self_similar(config: RunConfig):
 
 def _profile(stem, profile, samples):
     """The CSV and SVG artifacts of one profile; render_svg refuses an overflowing extent."""
+    from . import selfsimilar
+
     num = max(samples, profile.render_samples())
     u = np.linspace(0.0, 2.0 * np.pi, num, endpoint=False)
     positions = selfsimilar.profile_position(profile, u)
@@ -197,6 +204,8 @@ def _profile(stem, profile, samples):
 
 
 def _cmd_reparam(config: RunConfig):
+    from . import reparam
+
     if config.curve is None:
         raise ValidationError("reparam needs --curve pointing at a curve CSV")
     curve, _ = _read_curve(config.curve)
@@ -208,6 +217,8 @@ def _cmd_reparam(config: RunConfig):
 
 
 def _cmd_cusps(config: RunConfig):
+    from . import cusps
+
     s, _ = _spectral_from_config(config)
     times = config.times or list(np.geomspace(0.01, 10.0, 30))
     reports = cusps.report_series(s, times)
@@ -236,6 +247,8 @@ def _cmd_cusps(config: RunConfig):
 
 
 def _cmd_converge(config: RunConfig):
+    from . import asymptotics
+
     s, curve0 = _spectral_from_config(config)
     if curve0 is None:
         curve0 = spectral.reconstruct_centered_curve(s, config.samples)
@@ -260,6 +273,8 @@ def _cmd_converge(config: RunConfig):
 
 
 def _cmd_oracle_check(config: RunConfig):
+    from . import fd
+
     grid = fd.FDGrid(num_points=config.samples, dt=config.dt, scheme=config.scheme)
     result = {"equation": config.equation,
               "N": config.samples, "dt": config.dt, "T": config.final_time}
@@ -353,7 +368,7 @@ def build_parser():
     p = sub.add_parser("oracle-check", help="finite-difference cross-checks")
     add_common(p)
     p.add_argument("--equation", choices=["beta", "phi"], default=None)
-    p.add_argument("--scheme", choices=list(fd.SCHEMES), default=None)
+    p.add_argument("--scheme", choices=list(SCHEMES), default=None)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--T", dest="final_time", type=float, default=None)
     return parser

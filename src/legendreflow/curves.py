@@ -27,6 +27,10 @@ from .errors import (
 
 UNIT_NORM_TOL = 1e-12
 ROTATION_INDEX_TOL = 1e-6
+# The finite-difference oracles' schemes and smallest periodic grid; fd takes
+# them from here, so the CLI validates its options without loading fd.
+SCHEMES = ("explicit_euler", "crank_nicolson")
+MIN_POINTS = 8
 
 
 def uniform_grid(n_samples):

@@ -172,15 +172,19 @@ def _evolved(s: SpectralBeta, t):
 
 
 def _derivatives(c, u, orders, lam=None):
-    """Columns d_u^p d_t^q beta(u) = Re sum_k c_k (ik)^p lambda_k^q e^{iku}, (p, q) in orders."""
-    k = np.arange(c.shape[0])
-    weights = np.stack([c * (1j * k) ** p * (lam ** q if q else 1.0) for p, q in orders], 1)
-    return _series(weights, np.asarray(u, dtype=float))
+    """Columns d_u^p d_t^q beta(u_i) = Re sum_k c_ik (ik)^p lambda_k^q e^{iku_i}, (p, q)
+    in orders, for one coefficient row c or a row c_i per point u_i.  Each sum
+    runs over its own row, so a point's values do not depend on the others."""
+    k = np.arange(c.shape[-1])
+    terms = c * np.exp(1j * np.multiply.outer(np.asarray(u, dtype=float), k))
+    return np.stack([np.real((terms * ((1j * k) ** p * (lam ** q if q else 1.0))).sum(axis=-1))
+                     for p, q in orders], -1)
 
 
 def _sup(c):
-    """sup |Re sum_k c_k e^{iku}| on a uniform grid, by one inverse FFT."""
-    return float(np.max(np.abs(_series(c, max(2048, 32 * c.shape[0])))))
+    """sup |Re sum_k c_k e^{iku}| on a uniform grid per row of c (or of the
+    one row c), all rows by one inverse FFT."""
+    return np.max(np.abs(_series(c.T, max(2048, 32 * c.shape[-1]))), axis=0)
 
 
 def _certificates(c):
@@ -223,15 +227,30 @@ def _roots(rows):
 
 
 def _circle_zeros(roots):
-    """Sorted angles of the unit-circle roots with the halves of a split
-    double root merged, and flags marking the merged ones."""
-    z = roots[np.abs(np.abs(roots) - 1.0) < UNIT_CIRCLE_TOL]
-    z = z[np.argsort(np.mod(np.angle(z), 2.0 * np.pi))]
-    close = np.abs(z - np.roll(z, 1)) < UNIT_CIRCLE_TOL
-    label = np.zeros(z.shape[0], dtype=int) if close.all() else np.cumsum(~close) - 1
-    label[label < 0] = label[-1] if label.size else 0     # a pair across the seam
+    """(row, u, merged) over the root arrays of several rows: the angles u of
+    each row's unit-circle roots in order, with the halves of a split double
+    root merged, flags marking the merged ones, and the row of each."""
+    row = np.repeat(np.arange(len(roots)), [r.shape[0] for r in roots])
+    z = np.concatenate([np.empty(0, complex), *roots])
+    on = np.abs(np.abs(z) - 1.0) < UNIT_CIRCLE_TOL
+    row, z = row[on], z[on]
+    order = np.lexsort((np.mod(np.angle(z), 2.0 * np.pi), row))
+    row, z = row[order], z[order]
+    first, last = np.diff(row, prepend=-1) != 0, np.diff(row, append=-1) != 0
+    run, head, tail = np.cumsum(first) - 1, np.flatnonzero(first), np.flatnonzero(last)
+    # a root starts a zero unless it lies close to the one before it around
+    # its row's circle (the first one's is the last one); a row whose roots
+    # all lie close in turn is one zero
+    start = np.abs(z - z[np.where(first, tail[run], np.arange(z.shape[0]) - 1)]) >= UNIT_CIRCLE_TOL
+    start[head[np.bincount(run[start], minlength=head.shape[0]) == 0]] = True
+    # each root's zero is the last start up to it, or for the roots before a
+    # row's first start its last zero (a pair across the seam)
+    owner = np.maximum.accumulate(np.where(start, np.arange(z.shape[0]), -1))
+    label = np.cumsum(start)[np.where(owner >= head[run], owner, owner[tail][run])] - 1
     centre = np.bincount(label, z.real) + 1j * np.bincount(label, z.imag)
-    return np.mod(np.angle(centre), 2.0 * np.pi), np.bincount(label) > 1
+    zero_row = np.zeros(centre.shape[0], dtype=int)
+    zero_row[label] = row
+    return zero_row, np.mod(np.angle(centre), 2.0 * np.pi), np.bincount(label) > 1
 
 
 def _clear(fa, fb, da, db, h, bound, near):
@@ -297,7 +316,7 @@ def _cell_counts(c):
 def _circle_counts(rows):
     """z from the roots and the circle test for each trimmed row, the
     companion matrices solved as one stack per degree."""
-    return [_circle_zeros(roots)[0].shape[0] for roots in _roots(rows)]
+    return np.bincount(_circle_zeros(_roots(rows))[0], minlength=len(rows)).tolist()
 
 
 def _counts(s, times):
@@ -311,7 +330,8 @@ def _counts(s, times):
     if open_.size:
         counts[open_] = _cell_counts(c[open_])
     left = open_[counts[open_] < 0]
-    counts[left] = _circle_counts([rows[i] for i in left])
+    if left.size:
+        counts[left] = _circle_counts([rows[i] for i in left])
     return counts.tolist()
 
 
@@ -320,26 +340,28 @@ def _count(s, t):
 
 
 def _reports(s, times):
-    """find_zeros at every time, the companion matrices solved as one stack per degree."""
+    """find_zeros at every time: the companion matrices solved as one stack
+    per degree, then the zeros of every row polished and classified together."""
     c, rows, shift = _evolved_rows(s, times)
     mode, margin = _certificates(c)
-    reports = []
-    for t, row, h, roots, j, m in zip(times, rows, shift, _roots(rows), mode, margin):
-        u, merged = _circle_zeros(roots)
-        for _ in range(2):
-            d = _derivatives(row, u, ((0, 0), (1, 0), (2, 0)))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(merged, d[:, 1] / d[:, 2], d[:, 0] / d[:, 1])
-            # a root is already within sqrt(eps); a longer step would leave its zero
-            u = np.mod(u - np.where(np.abs(step) < UNIT_CIRCLE_TOL, step, 0.0), 2.0 * np.pi)
-        u = np.sort(u)
-        slope, scale = _derivatives(row, u, ((1, 0),))[:, 0], _sup(row)
-        zeros = tuple(Zero(float(r), float(np.exp(h) * d),
-                           "simple_cusp" if abs(d) > DERIVATIVE_THRESHOLD * scale else "degenerate")
-                      for r, d in zip(u, slope))
-        certificate = (int(j), float(m)) if m > CERTIFICATE_MARGIN else None
-        reports.append(CuspReport(float(t), zeros, float(np.exp(h) * scale), certificate))
-    return reports
+    row, u, merged = _circle_zeros(_roots(rows))
+    for _ in range(2):
+        d = _derivatives(c[row], u, ((0, 0), (1, 0), (2, 0)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(merged, d[:, 1] / d[:, 2], d[:, 0] / d[:, 1])
+        # a root is already within sqrt(eps); a longer step would leave its zero
+        u = np.mod(u - np.where(np.abs(step) < UNIT_CIRCLE_TOL, step, 0.0), 2.0 * np.pi)
+    order = np.lexsort((u, row))
+    row, u = row[order], u[order]
+    slope, scale = _derivatives(c[row], u, ((1, 0),))[:, 0], _sup(c)
+    growth = np.exp(shift)
+    kind = np.where(np.abs(slope) > DERIVATIVE_THRESHOLD * scale[row], "simple_cusp", "degenerate")
+    zeros = list(map(Zero, u.tolist(), (growth[row] * slope).tolist(), kind.tolist()))
+    end = np.cumsum(np.bincount(row, minlength=len(rows))).tolist()
+    return [CuspReport(t, tuple(zeros[a:b]), size, (j, m) if m > CERTIFICATE_MARGIN else None)
+            for t, a, b, size, j, m in zip(np.asarray(times, dtype=float).tolist(), [0, *end], end,
+                                           (growth * scale).tolist(), mode.tolist(),
+                                           margin.tolist())]
 
 
 def find_zeros(s: SpectralBeta, t) -> CuspReport:

@@ -25,10 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LegendreFlowError, ValidationError
-from .curves import periodic_diff, uniform_grid
-
-SCHEMES = ("explicit_euler", "crank_nicolson")
-MIN_POINTS = 8
+from .curves import MIN_POINTS, SCHEMES, periodic_diff, uniform_grid
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,45 @@ def companion_roots(c):
     return np.roots(np.concatenate([0.5 * c[:0:-1], [c[0].real], 0.5 * np.conj(c[1:])]))
 
 
+def per_time_reports(s, times):
+    """find_zeros time by time, each row's unit-circle roots merged, polished
+    and classified on their own (the report before its rows were stacked):
+    per time (t, [(u, d_u beta, kind)], scale, certificate)."""
+    from legendreflow.cusps import (CERTIFICATE_MARGIN, DERIVATIVE_THRESHOLD, UNIT_CIRCLE_TOL,
+                                    _certificates, _evolved_rows)
+    from legendreflow.spectral import _series
+
+    c, rows, shift = _evolved_rows(s, times)
+    mode, margin = _certificates(c)
+    out = []
+    for t, row, h, j, m in zip(times, rows, shift, mode, margin):
+        roots = companion_roots(row)
+        z = roots[np.abs(np.abs(roots) - 1.0) < UNIT_CIRCLE_TOL]
+        z = z[np.argsort(np.mod(np.angle(z), 2.0 * np.pi))]
+        close = np.abs(z - np.roll(z, 1)) < UNIT_CIRCLE_TOL
+        label = np.zeros(z.shape[0], dtype=int) if close.all() else np.cumsum(~close) - 1
+        label[label < 0] = label[-1] if label.size else 0     # a pair across the seam
+        centre = np.bincount(label, z.real) + 1j * np.bincount(label, z.imag)
+        u, merged = np.mod(np.angle(centre), 2.0 * np.pi), np.bincount(label) > 1
+        k = np.arange(row.shape[0])
+
+        def d(p, u):
+            return _series(row * (1j * k) ** p, u)
+
+        for _ in range(2):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(merged, d(1, u) / d(2, u), d(0, u) / d(1, u))
+            u = np.mod(u - np.where(np.abs(step) < UNIT_CIRCLE_TOL, step, 0.0), 2.0 * np.pi)
+        u = np.sort(u)
+        slope, scale = d(1, u), float(np.max(np.abs(_series(row, max(2048, 32 * row.shape[0])))))
+        zeros = [(float(r), float(np.exp(h) * b),
+                  "simple_cusp" if abs(b) > DERIVATIVE_THRESHOLD * scale else "degenerate")
+                 for r, b in zip(u, slope)]
+        out.append((float(t), zeros, float(np.exp(h) * scale),
+                    (int(j), float(m)) if m > CERTIFICATE_MARGIN else None))
+    return out
+
+
 def bisection_strict_decrease(s, series):
     """detect_strict_decrease with every drop bisected in t to EVENT_DT, then
     one Newton solve of beta = d_u beta = 0 in (u, t) from the bracket's

@@ -597,27 +597,56 @@ class TestMalformedInput:
                     "--outdir", str(tmp_path / "out")]) == 0
 
 
+def _fresh(code, *args):
+    """The last stdout line of `python -c code args` as JSON, run in a fresh
+    interpreter on this checkout's sources."""
+    src = str(Path(legendreflow.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _warped_curve(path):
+    u = uniform_grid(256)
+    psi = u + 0.3 * np.sin(u)
+    nu = np.stack([np.sin(psi), -np.cos(psi)], axis=-1)
+    write_curve_csv(path, LegendreCurve(positions=nu, normals=nu))
+    return str(path)
+
+
+def _flow_curve(path):
+    """A closed curve CSV with its beta column: beta_0 = cos 2u, n = 1."""
+    s = SpectralBeta.from_modes(1, modes={2: (1.0, 0.0)})
+    state = spectral.evolve_curve(s, reconstruct_centered_curve(s, 64), 0.0)
+    write_curve_csv(path, state.curve, state.curvature)
+    return str(path)
+
+
+def test_beta_column_skips_the_sampled_curvature(tmp_path, monkeypatch):
+    # a --curve CSV's beta column is beta_0; the curvature of the samples is
+    # computed only for a file without one
+    from legendreflow import cli
+
+    monkeypatch.setattr(cli, "curvature_from_samples",
+                        lambda curve: pytest.fail("sampled curvature computed"))
+    assert run(["simulate", "--curve", _flow_curve(tmp_path / "flow.csv"), "--times", "0.5",
+                "--outdir", str(tmp_path / "out")]) == 0
+
+
 def test_import_leaves_out_scipy_optimize():
     # scipy.optimize alone costs about a third of a second of start-up
-    src = str(Path(legendreflow.__file__).resolve().parents[1])
-    code = "import sys, legendreflow.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.strip() == "False"
+    code = "import json, sys, legendreflow.cli; print(json.dumps('scipy.optimize' in sys.modules))"
+    assert _fresh(code) is False
 
 
 def test_no_command_loads_scipy(tmp_path):
     # every command runs on numpy alone; scipy is only a test dependency
-    u = uniform_grid(256)
-    psi = u + 0.3 * np.sin(u)
-    nu = np.stack([np.sin(psi), -np.cos(psi)], axis=-1)
-    write_curve_csv(tmp_path / "warped.csv", LegendreCurve(positions=nu, normals=nu))
     commands = [
         ["simulate", "--n", "1", "--mode", "2:1", "--times", "0,0.5"],
         ["self-similar", "--catalog"],
         ["cusps", "--n", "1", "--a0", "0.01", "--mode", "2:1"],
         ["converge", "--n", "1", "--mode", "2:1", "--mode", "4:0.1"],
-        ["reparam", "--curve", str(tmp_path / "warped.csv")],
+        ["reparam", "--curve", _warped_curve(tmp_path / "warped.csv")],
         ["oracle-check", "--equation", "beta", "--n", "1", "--mode", "2:1",
          "--samples", "256", "--dt", "1e-3", "--T", "0.25"],
         ["oracle-check", "--equation", "phi", "--samples", "128", "--dt", "2e-4",
@@ -630,10 +659,44 @@ def test_no_command_loads_scipy(tmp_path):
         "         for i, argv in enumerate(json.loads(sys.argv[2]))]\n"
         "print(json.dumps({'codes': codes,\n"
         "                  'scipy': sorted(m for m in sys.modules if m.startswith('scipy'))}))\n")
-    src = str(Path(legendreflow.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path), json.dumps(commands)],
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    result = _fresh(code, str(tmp_path), json.dumps(commands))
     assert result["codes"] == [0] * len(commands)
     assert result["scipy"] == []
+
+
+#: The layers that only the command which needs one loads.
+LAYERS = ("asymptotics", "cusps", "fd", "reparam", "selfsimilar")
+
+
+def test_package_import_loads_no_submodule():
+    code = ("import json, sys, legendreflow\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('legendreflow.'))))")
+    assert _fresh(code) == []
+
+
+@pytest.mark.parametrize("argv, layer", [
+    (["simulate", "--n", "1", "--mode", "2:1", "--times", "0,0.5"], None),
+    (["simulate", "--curve", "{flow}", "--times", "0.5"], None),
+    (["self-similar", "--n", "1", "--m", "2", "--c1", "1.5"], "selfsimilar"),
+    (["self-similar", "--catalog"], "selfsimilar"),
+    (["reparam", "--curve", "{curve}"], "reparam"),
+    (["cusps", "--n", "1", "--a0", "0.01", "--mode", "2:1"], "cusps"),
+    (["converge", "--n", "1", "--mode", "2:1", "--mode", "4:0.1"], "asymptotics"),
+    (["oracle-check", "--equation", "beta", "--n", "1", "--mode", "2:1",
+      "--samples", "256", "--dt", "1e-3", "--T", "0.25"], "fd"),
+    (["oracle-check", "--equation", "phi", "--samples", "64", "--dt", "1e-3", "--T", "0.01"],
+     "fd"),
+])
+def test_command_loads_only_its_own_layer(tmp_path, argv, layer):
+    curve = _warped_curve(tmp_path / "warped.csv")
+    flow = _flow_curve(tmp_path / "flow.csv")
+    argv = [arg.format(curve=curve, flow=flow) for arg in argv]
+    argv += ["--outdir", str(tmp_path / "out")]
+    script = ("import json, sys\n"
+              "from legendreflow.cli import main\n"
+              "code = main(json.loads(sys.argv[1]))\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules\n"
+              "                               if m.startswith('legendreflow.'))]))")
+    code, loaded = _fresh(script, json.dumps(argv))
+    assert code == 0
+    assert [m for m in LAYERS if f"legendreflow.{m}" in loaded] == ([layer] if layer else [])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
+    per_time_reports,
     bisection_strict_decrease,
     companion_roots,
     degenerate_zero_near,
@@ -104,7 +105,7 @@ class TestStackedSolve:
         s = _beta0(kind, seed)
         c, [row], _ = cusps._evolved_rows(s, [t])
         mode, margin = cusps._certificates(c)
-        exact = cusps._circle_zeros(companion_roots(row))[0].shape[0]
+        exact = cusps._circle_zeros([companion_roots(row)])[0].shape[0]
         assert cusps._count(s, t) == exact
         report = find_zeros(s, t)
         if margin[0] <= cusps.CERTIFICATE_MARGIN:
@@ -123,7 +124,7 @@ class TestStackedSolve:
         c, [row], _ = cusps._evolved_rows(s, [t])
         [cell] = cusps._cell_counts(c)
         assume(cell >= 0)
-        assert cell == cusps._circle_zeros(companion_roots(row))[0].shape[0]
+        assert cell == cusps._circle_zeros([companion_roots(row)])[0].shape[0]
         assert cell == grid_zero_count(s, t)
 
     def test_fold_left_to_the_companion_step(self, root_solves):
@@ -134,7 +135,7 @@ class TestStackedSolve:
         c, [row], _ = cusps._evolved_rows(s, [t_star])
         assert cusps._certificates(c)[1][0] <= cusps.CERTIFICATE_MARGIN
         assert cusps._cell_counts(c).tolist() == [-1]
-        assert cusps._count(s, t_star) == cusps._circle_zeros(companion_roots(row))[0].shape[0]
+        assert cusps._count(s, t_star) == cusps._circle_zeros([companion_roots(row)])[0].shape[0]
         assert root_solves == [3]
 
     def test_series_matches_report_series(self):
@@ -145,6 +146,28 @@ class TestStackedSolve:
             reports = cusps.report_series(s, times)
             assert zero_count_series(s, times) == [(r.t, r.count) for r in reports]
             assert reports == [find_zeros(s, t) for t in times]
+
+    @pytest.mark.parametrize("kind", ["random", "double zeros", "double zero on the seam"])
+    def test_stacked_reports_match_per_time_reports(self, kind):
+        # the stacked report sums in another order than the per-time one, so
+        # locations and slopes agree to 1e-12, counts, kinds and certificates exactly
+        times = np.r_[0.0, np.geomspace(0.01, 10.0, 30)]
+        if kind == "random":
+            rng = np.random.default_rng(29)
+            draws = [random_closed_spectral(rng, max_truncation=12) for _ in range(20)]
+        else:   # 1 + cos 2u and 1 - cos 2u: double roots at t = 0, off 0 and at 0
+            sign = 1.0 if kind == "double zeros" else -1.0
+            draws = [SpectralBeta.from_modes(1, a0=1.0, modes={2: (sign, 0.0)})]
+        for s in draws:
+            for report, (t, zeros, scale, certificate) in zip(cusps._reports(s, times),
+                                                               per_time_reports(s, times),
+                                                               strict=True):
+                assert (report.t, report.certificate) == (t, certificate)
+                assert [z.kind for z in report.zeros] == [kind for _, _, kind in zeros]
+                assert report.scale == pytest.approx(scale, rel=1e-12, abs=0.0)
+                for z, (u, slope, _) in zip(report.zeros, zeros):
+                    assert abs(z.location - u) <= 1e-12
+                    assert abs(z.derivative - slope) <= 1e-12 * max(1.0, abs(slope))
 
 
 class TestZeroCountSeries:
