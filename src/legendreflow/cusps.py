@@ -5,9 +5,9 @@ A zero of beta(., t) marks a singular point of the flowing frontal; it is a
 flow).  The zero count z(t) is non-increasing in t (Angenent's zero-number
 theorem), and each strict drop happens exactly at a degenerate zero with
 beta = d_u beta = 0.  With z = e^{iu} the zeros of the degree-K trigonometric
-polynomial beta are the unit-circle roots of the polynomial z^K beta, found as
-companion-matrix eigenvalues (Boyd, J. Eng. Math. 56, 2006); d_u and d_t act
-mode-wise as (ik)^p lambda_k^q.  Zero sets ignore positive factors, so the
+polynomial beta are the unit-circle roots of the polynomial z^K beta, the
+eigenvalues of its companion matrix (Boyd, J. Eng. Math. 56, 2006); d_u and
+d_t act mode-wise as (ik)^p lambda_k^q.  Zero sets ignore positive factors, so the
 largest growth factor is divided out: counts hold at any t.
 
 Most counts need no eigensolve.  Write beta = A cos(j(u - phi)) + R with j
@@ -42,12 +42,15 @@ halved, at most CELL_DEPTH times, and only the new midpoints are evaluated.
 When every cell of a row is decided, z is the number of monotone cells with
 a sign change, each zero is simple and zeros lie at least a cell apart, so
 the companion count, which merges roots within UNIT_CIRCLE_TOL, is the same.
-On the rows the dominant-mode test leaves open S_1 >= 0.999 max |c_k|, so
-near_p is far above the rounding of the samples.  A row with an undecided
-cell, or a count taken EVENT_DT/2 from a fold, where two zeros are about to
-meet and halving would not decide, is solved from its roots: the companion
-matrices of a call, built as np.roots builds them, go to one eigvals call per
-degree.
+A row with a zero has |c_0| <= sum_{k > 0} |c_k| <= S_1, so S_1 >= max
+|c_k| and near_p is far above the rounding of the samples.  A row with an
+undecided cell, such as one where two zeros are about to meet, is solved from
+its roots: the companion matrices of a call, built as np.roots builds them,
+go to one eigvals call per degree.  Counts, reports and the starts of the
+fold solve below all take their zeros from this one finder (_zeros).  A
+report polishes each zero by Newton steps: a cell's secant root by steps kept
+inside its cell, which holds that zero alone, and a root, already within
+sqrt(eps), by steps shorter than UNIT_CIRCLE_TOL.
 
 A drop of z(t) over an interval (t_lo, t_hi) of the series is located at
 its folds and certified by counting them.  At a zero beta_t = beta_uu/n^2 +
@@ -58,21 +61,20 @@ z by at least 2 (Angenent, J. reine angew. Math. 390, 1988), so when the
 interval holds (z_lo - z_hi)/2 distinct ones there is no other, each drops z
 by exactly 2, and the counts between them are known without a solve.
 Newton's method on F = (beta, d_u beta) = 0 in (u, t) finds the folds, from
-the midpoints between adjacent zeros at t_lo (the cell certificate brackets
-them) at t_lo, (t_lo + t_hi)/2 and t_hi, and the Newton-Kantorovich test
-proves each in the box B = [u0 - r, u0 + r] x [t0 - r, t0 + r] of the max
-norm: with J the Jacobian at the centre x0 and A its inverse, Y = |A|(|F(x0)|
-+ rounding) bounds the Newton step, Z0 = |I - AJ| + |A| (rounding of J), and
-Z2 = |A| L with L bounding the derivatives of J on the box by S_pq = sum_k
-k^p |lambda_k|^q |c_k| e^{lambda_k t0 + |lambda_k| FOLD_BOX}.  If Z2 r^2 -
-(1 - Z0) r + Y <= 0 for an r <= FOLD_BOX, x -> x - A F(x) maps B into itself
-as a contraction, so B holds a zero of F.  A fold is certified when B also
-lies inside the interval and keeps |beta_uu| above 0, and the boxes of an
-interval are pairwise disjoint, so their folds are distinct.  Folds less
-than EVENT_DT apart in t are one event.  A drop its certified folds do not
-account for (a fold no start reaches, or a degenerate one such as three
-zeros merging) is certified by counts EVENT_DT/2 before and after each group
-of its folds instead, and bisection in t finds what they leave.
+the midpoints between adjacent zeros at t_lo, taken at t_lo, (t_lo + t_hi)/2
+and t_hi, and the Newton-Kantorovich test proves each in the box
+B = [u0 - r, u0 + r] x [t0 - r, t0 + r] of the max norm: with J the Jacobian
+at the centre x0 and A its inverse, Y = |A|(|F(x0)| + rounding) bounds the
+Newton step, Z0 = |I - AJ| + |A| (rounding of J), and Z2 = |A| L with L
+bounding the derivatives of J on the box by S_pq = sum_k k^p |lambda_k|^q
+|c_k| e^{lambda_k t0 + |lambda_k| FOLD_BOX}.  If Z2 r^2 - (1 - Z0) r + Y <= 0 for
+an r <= FOLD_BOX, x -> x - A F(x) maps B into itself as a contraction, so B
+holds a zero of F.  A fold is certified when B also lies inside the interval
+and keeps |beta_uu| above 0, and the boxes of an interval are pairwise
+disjoint, so their folds are distinct.  Folds less than EVENT_DT apart in t
+are one event.  A drop its certified folds do not account for (a fold no
+start reaches, or a degenerate one such as three zeros merging) is bracketed
+by bisection in t instead.
 """
 
 from __future__ import annotations
@@ -90,8 +92,8 @@ DERIVATIVE_THRESHOLD = 1e-8     # relative: simple cusp iff |d_u beta| > thr * s
 # this of the circle are zeros, and two within it of each other are one zero.
 UNIT_CIRCLE_TOL = 1e-6
 NEGLIGIBLE_MODE = 1e-14         # relative: smaller evolved modes are dropped
-# Folds closer than this in t are one event, certified by counts EVENT_DT/2
-# before the first and after the last; the fallback bisects to it.
+# Folds closer than this in t are one event; the bisection fallback brackets
+# each event to it.
 EVENT_DT = 1e-6
 # The dominant-mode certificate settles z(t) when its margin exceeds this,
 # which covers rounding and the modes below NEGLIGIBLE_MODE.
@@ -138,7 +140,7 @@ class DecreaseEvent:
     witness_u: float
     witness_beta: float
     witness_dbeta: float
-    # ("fold", box radius, residual), ("probes",) or ("bisection",): see detect_strict_decrease
+    # ("fold", box radius, residual) or ("bisection",): see detect_strict_decrease
     certificate: tuple | None = None
 
 
@@ -176,9 +178,10 @@ def _derivatives(c, u, orders, lam=None):
     in orders, for one coefficient row c or a row c_i per point u_i.  Each sum
     runs over its own row, so a point's values do not depend on the others."""
     k = np.arange(c.shape[-1])
+    p, q = np.array(orders).T
+    weights = (1j * k)[:, None] ** p * (1.0 if lam is None else lam[:, None] ** q)
     terms = c * np.exp(1j * np.multiply.outer(np.asarray(u, dtype=float), k))
-    return np.stack([np.real((terms * ((1j * k) ** p * (lam ** q if q else 1.0))).sum(axis=-1))
-                     for p, q in orders], -1)
+    return np.real(np.einsum("...k,kp->...p", terms, weights))
 
 
 def _sup(c):
@@ -265,10 +268,12 @@ def _clear(fa, fb, da, db, h, bound, near):
 
 
 def _cell_zeros(c):
-    """(z, row, u): z per row of c by the cell certificate, or -1 where a cell
-    is still undecided after CELL_DEPTH halvings (see the module docstring),
-    and for every zero found its row and the secant root in its cell."""
-    c = c / np.abs(c).max(axis=1, keepdims=True)    # a tiny row would lose digits
+    """(z, row, u, lo, hi): z per row of c by the cell certificate, or -1 where
+    a cell is still undecided after CELL_DEPTH halvings (see the module
+    docstring), and for every zero found its row, the secant root in its cell
+    and the cell [lo, hi]."""
+    # a tiny row would lose digits; a complex division by a subnormal overflows
+    c = (c.view(float) / np.abs(c).max(axis=1, keepdims=True)).view(complex)
     size = c.shape[1]
     k = np.arange(size)
     mag = np.abs(c)
@@ -285,53 +290,58 @@ def _cell_zeros(c):
     row = np.repeat(np.arange(c.shape[0]), num)
     lo = np.tile(2.0 * np.pi / num * np.arange(num), c.shape[0])
     h = 2.0 * np.pi / num
-    zeros = np.zeros(c.shape[0], dtype=int)
-    found_row, found_u = [], []
+    found = []
     for depth in range(CELL_DEPTH + 1):
         free = _clear(fa[:, 0], fb[:, 0], fa[:, 1], fb[:, 1], h, bound[row, 2], near[row, 0])
         mono = ~free & _clear(fa[:, 1], fb[:, 1], fa[:, 2], fb[:, 2], h, bound[row, 3], near[row, 1])
         # a sign change, 0 taken as +, so a zero on a shared end counts once
         hit = mono & ((fa[:, 0] < 0.0) != (fb[:, 0] < 0.0))
-        zeros += np.bincount(row[hit], minlength=c.shape[0])
-        found_row.append(row[hit])
-        found_u.append(lo[hit] + h * fa[hit, 0] / (fa[hit, 0] - fb[hit, 0]))
+        a, b, x = fa[hit, 0], fb[hit, 0], lo[hit]
+        found.append((row[hit], x + h * a / (a - b), x, x + h))
         undecided = ~(free | mono)
         row, lo, fa, fb = row[undecided], lo[undecided], fa[undecided], fb[undecided]
         if depth == CELL_DEPTH or row.shape[0] == 0:
             break
         h *= 0.5
         mid = lo + h
-        fm = np.real(np.einsum("ik,ikp->ip", np.exp(1j * np.multiply.outer(mid, k)), weights[row]))
+        fm = _derivatives(c[row], mid, ((0, 0), (1, 0), (2, 0)))
         row, lo = np.concatenate([row, row]), np.concatenate([lo, mid])
         fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
+    found = [np.concatenate(column) for column in zip(*found)]
+    zeros = np.bincount(found[0], minlength=c.shape[0])
     zeros[row] = -1
-    return zeros, np.concatenate(found_row), np.concatenate(found_u)
+    return (zeros, *found)
 
 
-def _cell_counts(c):
-    """z per row of c by the cell certificate, -1 where it does not decide."""
-    return _cell_zeros(c)[0]
-
-
-def _circle_counts(rows):
-    """z from the roots and the circle test for each trimmed row, the
-    companion matrices solved as one stack per degree."""
-    return np.bincount(_circle_zeros(_roots(rows))[0], minlength=len(rows)).tolist()
+def _zeros(c, rows):
+    """(row, u, merged, lo, hi): the zeros of every row of c, in no order.
+    The cell certificate finds them, and the rows it leaves undecided (their
+    trimmed rows, from rows) are solved from their roots as one stack per
+    degree.  A cell's zero is the secant root in its cell [lo, hi], which
+    holds no other; a root's zero has [lo, hi] = [-inf, inf], and merged
+    marks the halves of a split double root taken as one."""
+    counts, row, u, lo, hi = _cell_zeros(c)
+    merged = np.zeros(row.shape, dtype=bool)
+    left = np.flatnonzero(counts < 0)
+    if left.size:   # most calls leave none, and cusp_tracking counts every call
+        keep = counts[row] >= 0
+        at, v, m = _circle_zeros(_roots([rows[i] for i in left]))
+        row, u, merged = np.r_[row[keep], left[at]], np.r_[u[keep], v], np.r_[merged[keep], m]
+        lo = np.r_[lo[keep], np.full(at.shape, -np.inf)]
+        hi = np.r_[hi[keep], np.full(at.shape, np.inf)]
+    return row, u, merged, lo, hi
 
 
 def _counts(s, times):
-    """z(t) at every time: 2j where the certificate of mode j holds, else by
-    the cell certificate, and from the roots where a cell stays undecided,
-    those rows solved as one stack per degree."""
+    """z(t) at every time: 2j where the certificate of mode j holds, else the
+    number of zeros _zeros finds."""
     c, rows, _ = _evolved_rows(s, times)
     mode, margin = _certificates(c)
     counts = 2 * mode
     open_ = np.flatnonzero(margin <= CERTIFICATE_MARGIN)
     if open_.size:
-        counts[open_] = _cell_counts(c[open_])
-    left = open_[counts[open_] < 0]
-    if left.size:
-        counts[left] = _circle_counts([rows[i] for i in left])
+        counts[open_] = np.bincount(_zeros(c[open_], [rows[i] for i in open_])[0],
+                                    minlength=open_.size)
     return counts.tolist()
 
 
@@ -340,17 +350,24 @@ def _count(s, t):
 
 
 def _reports(s, times):
-    """find_zeros at every time: the companion matrices solved as one stack
-    per degree, then the zeros of every row polished and classified together."""
+    """find_zeros at every time: the zeros _zeros finds in every row, polished
+    by Newton steps and classified together."""
     c, rows, shift = _evolved_rows(s, times)
     mode, margin = _certificates(c)
-    row, u, merged = _circle_zeros(_roots(rows))
-    for _ in range(2):
+    row, u, merged, lo, hi = _zeros(c, rows)
+    # a cell's secant root starts within reach of Newton's method, since the
+    # monotone test keeps |d_u beta| large against the cell's width times
+    # |d_u^2 beta|; after 7 steps |beta| <= 18 eps S_0 at every zero of the
+    # 3,000 benchmark-pool candidates
+    for _ in range(8):
         d = _derivatives(c[row], u, ((0, 0), (1, 0), (2, 0)))
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(merged, d[:, 1] / d[:, 2], d[:, 0] / d[:, 1])
-        # a root is already within sqrt(eps); a longer step would leave its zero
-        u = np.mod(u - np.where(np.abs(step) < UNIT_CIRCLE_TOL, step, 0.0), 2.0 * np.pi)
+        # a root is already within sqrt(eps), and a longer step would leave its
+        # zero; a cell holds one zero, so a step stops at the cell's ends
+        u = np.clip(u - np.where(np.isfinite(lo) | (np.abs(step) < UNIT_CIRCLE_TOL), step, 0.0),
+                    lo, hi)
+    u = np.mod(u, 2.0 * np.pi)
     order = np.lexsort((u, row))
     row, u = row[order], u[order]
     slope, scale = _derivatives(c[row], u, ((1, 0),))[:, 0], _sup(c)
@@ -578,11 +595,11 @@ def _events(s, raw):
             in zip(raw, witness)]
 
 
-def _starts(s, lo, z_lo, hi):
+def _starts(s, lo):
     """Newton start angles per drop interval: the midpoints between adjacent
-    zeros at lo, where the cell certificate brackets each zero; for a row it
-    leaves undecided, the angles of the roots off the circle at hi."""
-    counts, row, zeros = _cell_zeros(_evolved_rows(s, lo)[0])
+    zeros at lo, which _zeros finds."""
+    c, rows, _ = _evolved_rows(s, lo)
+    row, zeros = _zeros(c, rows)[:2]
     order = np.lexsort((zeros, row))
     row, zeros = row[order], zeros[order]
     size = np.bincount(row, minlength=lo.shape[0])
@@ -590,20 +607,16 @@ def _starts(s, lo, z_lo, hi):
     last = np.r_[row[1:] != row[:-1], True]
     following = np.where(last, zeros[(np.cumsum(size) - size)[row]] + 2.0 * np.pi,
                          np.r_[zeros[1:], 0.0])
-    starts = np.split(0.5 * (zeros + following), np.cumsum(size)[:-1])
-    open_ = np.flatnonzero(counts != z_lo)
-    if open_.size:
-        for i, roots in zip(open_, _roots(_evolved_rows(s, hi[open_])[1])):
-            starts[i] = np.angle(roots[np.abs(roots) > 1.0 + UNIT_CIRCLE_TOL])
-    return starts
+    return np.split(0.5 * (zeros + following), np.cumsum(size)[:-1])
 
 
-def _bisect(s, t_lo, t_hi, z_hi, cur_t, cur_z):
-    """The events of the drops from cur_z at cur_t down to z_hi at t_hi, each
+def _bisect(s, t_lo, z_lo, t_hi, z_hi):
+    """The events of the drop from z_lo at t_lo to z_hi at t_hi, each
     bracketed by bisection in t to EVENT_DT; the witness is _newton's fold
     from the bracket's midpoint and the angle of the root pair that left the
     circle at its end (the bracket's midpoint and that angle if it fails)."""
     events = []
+    cur_t, cur_z = t_lo, z_lo
     while cur_z > z_hi:
         lo, hi = cur_t, t_hi
         while hi - lo > EVENT_DT:
@@ -632,10 +645,8 @@ def detect_strict_decrease(s: SpectralBeta, series):
     is lost, are solved for by Newton's method (_folds), and folds less than
     EVENT_DT apart make one event, whose last fold is the witness and whose
     time t_event.  When the interval holds one certified fold per lost pair
-    (_accounted), each fold drops the count by 2.  Otherwise the counts at
-    t0 - EVENT_DT/2 and t* + EVENT_DT/2 certify the event of the folds from
-    t0 to t*, and a drop they do not account for is bracketed by bisection
-    in t instead (_bisect).
+    (_accounted), each fold drops the count by 2.  A drop they do not account
+    for is bracketed by bisection in t instead (_bisect).
     """
     drops = [(t_lo, z_lo, t_hi, z_hi)
              for (t_lo, z_lo), (t_hi, z_hi) in zip(series, series[1:]) if z_hi < z_lo]
@@ -643,48 +654,19 @@ def detect_strict_decrease(s: SpectralBeta, series):
         return []
     lo, z_lo, hi, z_hi = (np.array(column) for column in zip(*drops))
     pairs = (z_lo - z_hi) // 2
-    folds = _folds(s, lo, hi, pairs, _starts(s, lo, z_lo, hi)) or [[] for _ in drops]
-    raw, probed = [], []
+    folds = _folds(s, lo, hi, pairs, _starts(s, lo)) or [[] for _ in drops]
+    raw = []
     for drop, found, radius in zip(drops, folds, _accounted(s, lo, hi, pairs, folds)):
-        t_lo, z, t_hi, _ = drop
         if radius is None:
-            probed.append((drop, _groups(found)))
+            raw += _bisect(s, *drop)
             continue
+        t_lo, z, t_hi, _ = drop
         for group in _groups([fold + (r,) for fold, r in zip(found, radius.tolist())]):
             u, t = group[-1][:2]
             certificate = ("fold", max(f[3] for f in group), max(f[2] for f in group))
             raw.append(((t_lo, t_hi), t, z, z - 2 * len(group), u, certificate))
             z -= 2 * len(group)
-    raw += _probed(s, probed)
-    raw.sort(key=lambda event: event[0][0])   # stable: each interval's events stay in order
     return _events(s, raw)
-
-
-def _probed(s, probed):
-    """The events of the drops (t_lo, z_lo, t_hi, z_hi) their folds do not
-    account for, from the groups of those folds.  Taken in time order, the
-    folds from t0 to t* are an event when the count is still the current one
-    at t0 - EVENT_DT/2 and lower at t* + EVENT_DT/2 (the series' own count
-    past the interval's end); these counts, taken where two zeros are about
-    to meet, go to the roots as one stack.  What they leave is bisected."""
-    before = [group[0][1] - 0.5 * EVENT_DT for _, groups in probed for group in groups]
-    after = [group[-1][1] + 0.5 * EVENT_DT for (_, _, t_hi, _), groups in probed
-             for group in groups if group[-1][1] + 0.5 * EVENT_DT < t_hi]
-    probes = _circle_counts(_evolved_rows(s, before + after)[1]) if before else []
-    z_before, z_after = iter(probes[: len(before)]), iter(probes[len(before):])
-    raw = []
-    for (t_lo, z_lo, t_hi, z_hi), groups in probed:
-        counts = [(next(z_before), next(z_after) if group[-1][1] + 0.5 * EVENT_DT < t_hi else z_hi)
-                  for group in groups]
-        cur_t, cur_z = t_lo, z_lo
-        for group, (zb, za) in zip(groups, counts):
-            if cur_z == z_hi or zb != cur_z or za >= cur_z:
-                break
-            u, t = group[-1][:2]
-            raw.append(((t_lo, t_hi), t, cur_z, za, u, ("probes",)))
-            cur_t, cur_z = t + 0.5 * EVENT_DT, za
-        raw += _bisect(s, t_lo, t_hi, z_hi, cur_t, cur_z)
-    return raw
 
 
 def __getattr__(name):

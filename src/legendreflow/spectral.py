@@ -122,7 +122,7 @@ class SpectralBeta:
 def analyze_beta(beta0, n, truncation=None):
     """Discrete trigonometric projection of beta_0 samples.
 
-    Direct O(N K) projection; exact (up to rounding) for trigonometric
+    One real FFT, O(N log N); exact (up to rounding) for trigonometric
     polynomials of degree <= K sampled on N >= 2K + 2 points.
     """
     beta0 = np.asarray(beta0, dtype=float)
@@ -135,14 +135,11 @@ def analyze_beta(beta0, n, truncation=None):
         )
     if np.max(np.abs(beta0)) == 0.0:
         raise PointCurveError("beta_0 is identically zero; the curve is a point")
-    u = uniform_grid(num)
-    k = np.arange(1, truncation + 1)
-    a = np.empty(truncation + 1)
-    b = np.zeros(truncation + 1)
-    a[0] = np.mean(beta0)
-    # (2/N) sum beta cos(k u_j) is the discrete form of (1/pi) int beta cos(ku)
-    a[1:] = (2.0 / num) * (np.cos(np.outer(k, u)) @ beta0)
-    b[1:] = (2.0 / num) * (np.sin(np.outer(k, u)) @ beta0)
+    # on u_j = 2 pi j / N the DFT F_k = sum_j beta_j e^{-i k u_j} gives a_0 = F_0/N,
+    # a_k = 2 Re F_k/N and b_k = -2 Im F_k/N, the discrete (1/pi) int beta e^{-iku}
+    f = np.fft.rfft(beta0)[: truncation + 1] * (2.0 / num)
+    a, b = f.real.copy(), -f.imag
+    a[0], b[0] = 0.5 * a[0], 0.0
     if n <= truncation and (abs(a[n]) > CLOSURE_COEFF_TOL or abs(b[n]) > CLOSURE_COEFF_TOL):
         raise NotClosedError(
             f"(a_{n}, b_{n}) = ({a[n]:g}, {b[n]:g}); beta_0 does not close a curve"

@@ -61,6 +61,17 @@ def degenerate_zero_near(s, u, t, iterations=50):
     return None
 
 
+def dense_projection(beta0, truncation):
+    """(a, b): the samples of beta_0 projected onto cos ku and sin ku, k <=
+    truncation, through dense K x N tables (analyze_beta before its real FFT)."""
+    num = beta0.shape[0]
+    u = uniform_grid(num)
+    k = np.arange(1, truncation + 1)
+    a = np.r_[np.mean(beta0), (2.0 / num) * (np.cos(np.outer(k, u)) @ beta0)]
+    b = np.r_[0.0, (2.0 / num) * (np.sin(np.outer(k, u)) @ beta0)]
+    return a, b
+
+
 def per_mode_evolve_curve(s, positions, t):
     """X(u, t) summed mode by mode with two trig tables per mode: the original
     closed form X_0 + sum_k g_k(t) [beta_k nu/n + d_u beta_k mu/n^2]."""

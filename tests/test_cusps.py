@@ -122,7 +122,7 @@ class TestStackedSolve:
     def test_cell_count_is_exact(self, kind, seed, t):
         s = _beta0(kind, seed)
         c, [row], _ = cusps._evolved_rows(s, [t])
-        [cell] = cusps._cell_counts(c)
+        [cell] = cusps._cell_zeros(c)[0]
         assume(cell >= 0)
         assert cell == cusps._circle_zeros([companion_roots(row)])[0].shape[0]
         assert cell == grid_zero_count(s, t)
@@ -134,7 +134,7 @@ class TestStackedSolve:
         t_star = np.log(100.0) / 4.0
         c, [row], _ = cusps._evolved_rows(s, [t_star])
         assert cusps._certificates(c)[1][0] <= cusps.CERTIFICATE_MARGIN
-        assert cusps._cell_counts(c).tolist() == [-1]
+        assert cusps._cell_zeros(c)[0].tolist() == [-1]
         assert cusps._count(s, t_star) == cusps._circle_zeros([companion_roots(row)])[0].shape[0]
         assert root_solves == [3]
 
@@ -146,6 +146,29 @@ class TestStackedSolve:
             reports = cusps.report_series(s, times)
             assert zero_count_series(s, times) == [(r.t, r.count) for r in reports]
             assert reports == [find_zeros(s, t) for t in times]
+
+    def test_report_solve_budget(self, root_solves):
+        # acceptance test 05's draws: reports take their zeros from the cells
+        # and solve only the rows with an undecided cell (3,000 rows before)
+        rng = np.random.default_rng(777)
+        for _ in range(100):
+            cusps.report_series(random_closed_spectral(rng, max_truncation=6),
+                                np.geomspace(0.01, 10.0, 30))
+        assert len(root_solves) <= 10
+
+    @given(st.sampled_from(["test05", "pure", "two-mode"]), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 5.0))
+    @settings(max_examples=80, deadline=None)
+    def test_reported_zeros_are_polished(self, kind, seed, t):
+        # a cell's secant root starts several 1e-3 off its zero: a polish
+        # that stalls, such as one that drops steps longer than a limit, leaves
+        # |beta| far above rounding there
+        s = _beta0(kind, seed)
+        row, _ = cusps._evolved(s, t)
+        u = [z.location for z in find_zeros(s, t).zeros if z.kind == "simple_cusp"]
+        assume(u)
+        beta = cusps._derivatives(row, u, ((0, 0),))[:, 0]
+        assert np.max(np.abs(beta)) <= 64 * np.finfo(float).eps * np.abs(row).sum()
 
     @pytest.mark.parametrize("kind", ["random", "double zeros", "double zero on the seam"])
     def test_stacked_reports_match_per_time_reports(self, kind):
@@ -356,6 +379,22 @@ class TestFoldLocator:
             star = degenerate_zero_near(s, event.witness_u, event.t_event)
             assert abs(star[1] - event.t_event) <= 1e-13
 
+    @pytest.mark.parametrize("index", [859, 1375, 1642, 1847])
+    def test_starts_where_the_cells_stay_undecided(self, index):
+        # benchmark-pool candidates with a drop whose first row the cells leave
+        # undecided: its Newton starts lie between the zeros of its roots
+        s = random_closed_spectral(np.random.default_rng([20251006, index]),
+                                   max_truncation=12)
+        series = zero_count_series(s, self.TIMES)
+        lows = [t for (t, z), (_, z1) in zip(series, series[1:]) if z1 < z]
+        assert np.any(cusps._cell_zeros(cusps._evolved_rows(s, lows)[0])[0] < 0)
+        events = detect_strict_decrease(s, series)
+        reference = bisection_strict_decrease(s, series)
+        assert _event_key(events) == _event_key(reference)
+        for event, ref in zip(events, reference):
+            assert event.certificate[0] == "fold"
+            assert abs(event.t_event - ref.t_event) <= 1e-13
+
     def test_solve_budget(self, root_solves):
         # acceptance test 05's draws; bisection to EVENT_DT took about 18 each
         rng = np.random.default_rng(777)
@@ -402,10 +441,9 @@ class TestFoldLocator:
             assert abs(event.witness_beta) < 1e-12 and abs(event.witness_dbeta) < 1e-12
 
     def test_bisection_fallback_reached_where_newton_misses(self, monkeypatch):
-        # candidate 1477 of the benchmark pool: the starts from the roots off
-        # the circle at the interval's end miss the fold in (0.221, 0.281),
-        # the starts between adjacent zeros at its beginning reach it.  With
-        # that fold hidden from _folds, bisection finds the event
+        # candidate 1477 of the benchmark pool: the starts between adjacent
+        # zeros at the beginning of (0.221, 0.281) reach its fold.  With that
+        # fold hidden from _folds, bisection finds the event
         s = random_closed_spectral(np.random.default_rng([20251006, 1477]),
                                    max_truncation=12)
         series = zero_count_series(s, self.TIMES)
@@ -430,8 +468,8 @@ class TestFoldLocator:
             assert abs(star[1] - event.t_event) <= 1e-13
 
     def test_counts_certify_refused_folds(self, monkeypatch):
-        # acceptance test 05's draws with every fold box refused: the counts
-        # next to each group of folds certify the events instead
+        # acceptance test 05's draws with every fold box refused: bisection
+        # certifies the events instead
         monkeypatch.setattr(cusps, "_fold_boxes", lambda s, u, t, lo, hi: np.full(u.shape, np.nan))
         rng = np.random.default_rng(777)
         for _ in range(10):
@@ -441,7 +479,7 @@ class TestFoldLocator:
             reference = bisection_strict_decrease(s, series)
             assert _event_key(events) == _event_key(reference)
             for event, ref in zip(events, reference):
-                assert event.certificate == ("probes",)
+                assert event.certificate == ("bisection",)
                 assert abs(event.t_event - ref.t_event) <= 1e-13
 
     def test_event_solve_budget(self, root_solves):
@@ -456,7 +494,7 @@ class TestFoldLocator:
             series = zero_count_series(s, self.TIMES)
             lows = [t for (t, z), (_, z1) in zip(series, series[1:]) if z1 < z]
             if lows:
-                undecided += int(np.sum(cusps._cell_counts(cusps._evolved_rows(s, lows)[0]) < 0))
+                undecided += int(np.sum(cusps._cell_zeros(cusps._evolved_rows(s, lows)[0])[0] < 0))
             before = len(root_solves)
             events += detect_strict_decrease(s, series)
             solves += len(root_solves) - before
@@ -500,4 +538,4 @@ class TestFoldCertificate:
         assert np.isnan(cusps._fold_boxes(s, u, np.full(2, t_star), np.full(2, 0.5),
                                           np.full(2, 3.0))).all()
         events = detect_strict_decrease(s, zero_count_series(s, [0.5, 3.0]))
-        assert {e.certificate[0] for e in events} <= {"probes", "bisection"}
+        assert {e.certificate[0] for e in events} == {"bisection"}

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mode_derivative, per_mode_evolve_curve, random_closed_spectral
+from conftest import (dense_projection, mode_derivative, per_mode_evolve_curve,
+                      random_closed_spectral)
 from legendreflow.curves import check_closure, uniform_grid
 from legendreflow.errors import NotClosedError, PointCurveError, ValidationError
 from legendreflow.spectral import (
@@ -102,6 +103,36 @@ class TestAnalyzeBeta:
     def test_undersampled_rejected(self):
         with pytest.raises(ValidationError):
             analyze_beta(np.ones(16), 1, truncation=10)
+
+    @pytest.mark.parametrize("num, truncation", [(64, None), (255, None), (1024, None),
+                                                 (1024, 40)])
+    def test_fft_matches_dense_projection(self, num, truncation):
+        # white noise with its n = 2 band removed: every mode up to N/2 - 1 is live
+        rng = np.random.default_rng(num)
+        u = uniform_grid(num)
+        beta = rng.normal(size=num)
+        an, bn = dense_projection(beta, 2)
+        beta -= an[2] * np.cos(2 * u) + bn[2] * np.sin(2 * u)
+        s = analyze_beta(beta, 2, truncation)
+        a, b = dense_projection(beta, s.truncation)
+        a[2] = b[2] = 0.0
+        scale = np.max(np.abs(beta))
+        assert np.max(np.abs(s.cos_coeffs - a)) <= 1e-12 * scale
+        assert np.max(np.abs(s.sin_coeffs - b)) <= 1e-12 * scale
+
+    def test_projection_memory(self):
+        # the dense tables of 4,096 rows took 128 MB
+        import tracemalloc
+
+        u = uniform_grid(4096)
+        beta = np.cos(2 * u) + 0.3 * np.sin(5 * u)
+        tracemalloc.start()
+        try:
+            analyze_beta(beta, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestEvolveBeta:
