@@ -11,7 +11,7 @@ import numpy as np
 
 from legendreflow.curves import uniform_grid
 from legendreflow.fd import FDGrid, solve_beta_fd
-from legendreflow.spectral import SpectralBeta, evolve_beta, synthesize_beta
+from legendreflow.spectral import SpectralBeta, evolve_beta
 
 
 def main():
@@ -31,7 +31,7 @@ def main():
         dt = args.base_dt / 2**j
         u = uniform_grid(num)
         grid = FDGrid(num_points=num, dt=dt, scheme="crank_nicolson")
-        approx = solve_beta_fd(synthesize_beta(s, u), args.n, args.T, grid)
+        approx = solve_beta_fd(evolve_beta(s, 0.0, u), args.n, args.T, grid)
         err = float(np.max(np.abs(approx - evolve_beta(s, args.T, u))))
         order = "" if prev is None else f"   order {np.log2(prev / err):.3f}"
         print(f"N = {num:5d}  dt = {dt:.2e}  error = {err:.6e}{order}")

@@ -6,6 +6,8 @@ rescaled flow (X(., t) - p)/e^{(1 - m^2/n^2) t} converges to the profile
 X*_{n, m, a_m, b_m}; the error is a finite sum of sub-leading modes, each
 decaying at an exact exponential rate, so the fitted slope of log(error)
 matches lambda_{k'} - lambda_m to rounding (k' the next surviving mode).
+The scaled errors at all sample times of a fit are one stack of weighted
+spectra, summed on the grid in one inverse FFT.
 """
 
 from __future__ import annotations
@@ -52,6 +54,35 @@ def leading_mode(s: SpectralBeta):
     return m, float(s.cos_coeffs[m]), float(s.sin_coeffs[m])
 
 
+def _scaled_errors(s: SpectralBeta, times, num):
+    """scaled_error at each of the times, all on the num-point grid in one synthesis.
+
+    The weights e^{(lambda_k - lambda_m) t}/lambda_k form one (K + 1, T) stack
+    of spectra, one column per time, and _displacement sums every column in
+    one inverse FFT.
+    """
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
+        raise ValidationError(f"time must be >= 0, got {times[times < 0][0]}")
+    m, _, _ = leading_mode(s)
+    if m == s.n:
+        raise LegendreFlowError(
+            "leading mode equals the rotation index; impossible for a closed "
+            "curve (internal inconsistency)"
+        )
+    lam_m = eigenvalue(s.n, m)
+    lam = s.eigenvalues()
+    keep = _surviving(s) & (lam != 0.0)
+    keep[m] = False
+    c = (s.cos_coeffs - 1j * s.sin_coeffs) * keep
+    live = c != 0.0
+    stack = np.zeros(c.shape + times.shape, dtype=complex)
+    stack[live] = c[live, None] * (np.exp(np.multiply.outer(lam[live] - lam_m, times))
+                                   / lam[live, None])
+    # the grid axis first: numpy reduces (N, T, 2) over the axes (0, 2) about 6x slower
+    return np.max(np.abs(_displacement(s, stack, num)), axis=0).max(axis=-1)
+
+
 def scaled_error(s: SpectralBeta, initial_curve: LegendreCurve, t,
                  num_samples=1024):
     """sup_u |(X(u,t) - p)/lambda*(t) - X*_{n,m,a_m,b_m}(u)|.
@@ -63,20 +94,7 @@ def scaled_error(s: SpectralBeta, initial_curve: LegendreCurve, t,
     without the catastrophic cancellation a direct large-t evaluation of X
     would suffer.
     """
-    if t < 0:
-        raise ValidationError(f"time must be >= 0, got {t}")
-    m, _, _ = leading_mode(s)
-    if m == s.n:
-        raise LegendreFlowError(
-            "leading mode equals the rotation index; impossible for a closed "
-            "curve (internal inconsistency)"
-        )
-    lam_m = eigenvalue(s.n, m)
-    keep = _surviving(s) & (s.eigenvalues() != 0.0)
-    keep[m] = False
-    remainder = _displacement(s, lambda lam: np.exp((lam - lam_m) * t) / lam,
-                              num_samples, keep=keep)
-    return float(np.max(np.abs(remainder)))
+    return float(_scaled_errors(s, [t], num_samples)[0])
 
 
 def predicted_decay_rate(s: SpectralBeta):
@@ -110,29 +128,24 @@ def fit_decay_rate(s: SpectralBeta, initial_curve: LegendreCurve,
             leading_mode=m, center=p, errors=(), fitted_rate=None,
             predicted_rate=None, exactly_self_similar=True)
 
-    def sample(ts):
-        return [(float(t), scaled_error(s, initial_curve, t)) for t in ts]
-
-    errors = sample(times)
-    if any(e < 1e-14 for _, e in errors):
+    errors = _scaled_errors(s, times, 1024)
+    if np.any(errors < 1e-14):
         times = times[0] + (times - times[0]) * 0.5
-        errors = sample(times)
-        if any(e <= 0.0 for _, e in errors):
+        errors = _scaled_errors(s, times, 1024)
+        if np.any(errors <= 0.0):
             raise LegendreFlowError(
                 "scaled error underflowed even after shrinking the fit window")
-    ts = np.array([t for t, _ in errors])
-    logs = np.log([e for _, e in errors])
-    slope, _ = np.polyfit(ts, logs, 1)
+    slope, _ = np.polyfit(times, np.log(errors), 1)
 
     # weaker epsilon-envelope with epsilon = (k'^2 - m^2)/2: the error times
     # e^{-(1 - (m^2 + eps)/n^2 - lambda_m) t} must stay bounded
     kp_gap = predicted  # = lambda_k' - lambda_m
     eps_rate = 0.5 * kp_gap  # strictly slower envelope than the sharp rate
-    ratios = [e * np.exp(-eps_rate * t) for t, e in errors]
-    envelope_ok = bool(max(ratios) <= ratios[0] * (1.0 + 1e-9))
+    ratios = errors * np.exp(-eps_rate * times)
+    envelope_ok = bool(np.max(ratios) <= ratios[0] * (1.0 + 1e-9))
 
     return ConvergenceReport(
-        leading_mode=m, center=p, errors=tuple(errors),
+        leading_mode=m, center=p, errors=tuple(zip(times.tolist(), errors.tolist())),
         fitted_rate=float(slope), predicted_rate=float(predicted),
         exactly_self_similar=False, envelope_bounded=envelope_ok)
 

@@ -285,7 +285,7 @@ def _cmd_oracle_check(config: RunConfig):
         errors = []
         for g in (grid, fine):
             u = uniform_grid(g.num_points)
-            approx = fd.solve_beta_fd(spectral.synthesize_beta(s, u), s.n, config.final_time, g)
+            approx = fd.solve_beta_fd(spectral.evolve_beta(s, 0.0, u), s.n, config.final_time, g)
             exact = spectral.evolve_beta(s, config.final_time, u)
             errors.append(float(np.max(np.abs(approx - exact))))
         err_coarse, err_fine = errors

@@ -89,6 +89,20 @@ def per_mode_evolve_curve(s, positions, t):
     return out
 
 
+def physical_mismatch(s, positions):
+    """(max |d_u X_0 - beta_0 mu|, max(1, max |beta_0|)) on the grid of the
+    positions, X_0 differentiated in physical space (evolve_curve's check
+    before it ran in mode space)."""
+    from legendreflow.spectral import _beta, spectral_derivative
+
+    num = positions.shape[0]
+    u = uniform_grid(num)
+    mu = np.stack([np.cos(s.n * u), np.sin(s.n * u)], axis=-1)
+    beta0 = _beta(s, 0.0, num)
+    mismatch = np.max(np.abs(spectral_derivative(positions) - beta0[:, None] * mu))
+    return float(mismatch), max(1.0, float(np.max(np.abs(beta0))))
+
+
 def per_mode_scaled_error(s, t, num=1024):
     """sup |sum_k e^{(lambda_k - lambda_m) t} X*_k| over the surviving modes
     k != m (and k != n), each X*_k the closed-form self-similar profile."""
@@ -213,6 +227,21 @@ def root_solves(monkeypatch):
         return solve(rows)
 
     monkeypatch.setattr(cusps, "_roots", counted)
+    return calls
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """The numpy.fft transforms called so far, one entry (the function's name)
+    per call; a stacked transform counts once."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2", "ifft2",
+                 "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
+        def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
     return calls
 
 

@@ -34,7 +34,6 @@ from legendreflow.spectral import (
     evolve_beta,
     evolve_curve,
     reconstruct_initial_curve,
-    synthesize_beta,
 )
 
 
@@ -81,7 +80,7 @@ def test_03_oracle_equivalence():
     def err(num, dt):
         u = uniform_grid(num)
         grid = FDGrid(num_points=num, dt=dt, scheme="crank_nicolson")
-        approx = solve_beta_fd(synthesize_beta(s, u), 1, 0.25, grid)
+        approx = solve_beta_fd(evolve_beta(s, 0.0, u), 1, 0.25, grid)
         return float(np.max(np.abs(approx - evolve_beta(s, 0.25, u))))
 
     coarse = err(256, 1e-3)
@@ -102,7 +101,7 @@ def test_04_closed_curve_constraint():
     for s in _criterion4_seeds():
         num = 512
         u = uniform_grid(num)
-        beta0 = synthesize_beta(s, u)
+        beta0 = evolve_beta(s, 0.0, u)
         curve = reconstruct_initial_curve(s, num_samples=num)
         curve.validate()
         back = analyze_beta(beta0, s.n, truncation=s.truncation)

@@ -6,6 +6,7 @@ import pytest
 from conftest import per_mode_scaled_error, random_closed_spectral
 
 from legendreflow.asymptotics import (
+    _scaled_errors,
     center_point,
     derivative_gap_sup,
     fit_decay_rate,
@@ -14,6 +15,7 @@ from legendreflow.asymptotics import (
     scaled_error,
 )
 from legendreflow.curves import LegendreCurve, uniform_grid
+from legendreflow.errors import LegendreFlowError, ValidationError
 from legendreflow.selfsimilar import SelfSimilarProfile, profile_position
 from legendreflow.spectral import (
     SpectralBeta,
@@ -93,6 +95,32 @@ class TestScaledError:
                 expected = per_mode_scaled_error(s, t, 1024)
                 assert abs(scaled_error(s, curve, t) - expected) <= 1e-12 * max(1.0, expected)
 
+    def test_stack_matches_per_time(self, rng):
+        times = np.array([0.0, 0.5, 1.0, 3.0, 6.0])
+        for _ in range(10):
+            s = random_closed_spectral(rng, max_truncation=12)
+            curve = reconstruct_initial_curve(s, num_samples=256)
+            stacked = _scaled_errors(s, times, 1024)
+            assert np.array_equal(stacked, [scaled_error(s, curve, t) for t in times])
+            for t, err in zip(times, stacked):
+                expected = per_mode_scaled_error(s, t, 1024)
+                assert abs(err - expected) <= 1e-12 * max(1.0, expected)
+
+    def test_rejects_negative_time_and_leading_n_band(self):
+        s, curve = two_mode_data()
+        with pytest.raises(ValidationError):
+            _scaled_errors(s, [1.0, -0.5], 1024)
+        with pytest.raises(ValidationError):
+            scaled_error(s, curve, -0.5)
+        # the admitted n band |a_1| = 1e-10 survives LEADING_TOL and leads
+        s = SpectralBeta.from_modes(1, modes={1: (1e-10, 0.0), 2: (1.0, 0.0)})
+        curve = reconstruct_initial_curve(s, num_samples=256)
+        for call in (lambda: _scaled_errors(s, [1.0, 2.0], 1024),
+                     lambda: scaled_error(s, curve, 1.0),
+                     lambda: fit_decay_rate(s, curve)):
+            with pytest.raises(LegendreFlowError, match="rotation index"):
+                call()
+
     def test_small_by_t_eight(self):
         s, curve = two_mode_data()
         assert scaled_error(s, curve, 8.0) < 1e-4
@@ -124,6 +152,23 @@ class TestFitDecayRate:
         report = fit_decay_rate(s, curve)
         assert report.exactly_self_similar
         assert report.fitted_rate is None
+
+    @pytest.mark.parametrize("a0, modes, sample_sets", [
+        (1.0, {2: (0.05, 0.0)}, 1),                 # errors stay above 1e-14
+        (0.0, {2: (1.0, 0.0), 4: (0.1, 0.0)}, 2),   # underflow: the window shrinks
+    ])
+    def test_one_synthesis_per_sample_set(self, a0, modes, sample_sets, fft_calls):
+        # one synthesis per sample set, where sampling time by time took 6
+        s = SpectralBeta.from_modes(1, a0=a0, modes=modes)
+        curve = reconstruct_initial_curve(s, num_samples=512)
+        fft_calls.clear()
+        report = fit_decay_rate(s, curve)
+        assert len(fft_calls) == sample_sets
+        times = np.linspace(1.0, 6.0, 6) if sample_sets == 1 else np.linspace(1.0, 3.5, 6)
+        assert [t for t, _ in report.errors] == times.tolist()
+        for t, err in report.errors:
+            assert err == scaled_error(s, curve, t)
+            assert abs(err - per_mode_scaled_error(s, t)) <= 1e-12 * max(1.0, err)
 
     def test_predicted_rate_eigen_arithmetic(self):
         s = SpectralBeta.from_modes(1, modes={2: (1.0, 0.0), 4: (0.1, 0.0)})

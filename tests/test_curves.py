@@ -18,7 +18,7 @@ from legendreflow.errors import (
     GridTooCoarseError,
     ValidationError,
 )
-from legendreflow.spectral import SpectralBeta, analyze_beta, synthesize_beta
+from legendreflow.spectral import SpectralBeta, analyze_beta
 
 
 def circle_curve(num, n=1, radius=1.0, center=(0.0, 0.0)):

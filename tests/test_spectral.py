@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (dense_projection, mode_derivative, per_mode_evolve_curve,
-                      random_closed_spectral)
-from legendreflow.curves import check_closure, uniform_grid
+                      physical_mismatch, random_closed_spectral)
+from legendreflow.curves import LegendreCurve, check_closure, uniform_grid
 from legendreflow.errors import NotClosedError, PointCurveError, ValidationError
 from legendreflow.spectral import (
+    CONSISTENCY_ROUNDING,
     SpectralBeta,
     _beta,
     _increment,
@@ -18,12 +19,9 @@ from legendreflow.spectral import (
     eigenvalue,
     evolve_beta,
     evolve_curve,
-    position_increment,
     reconstruct_centered_curve,
     reconstruct_initial_curve,
     spectral_derivative,
-    synthesize_beta,
-    truncation_residual,
 )
 from legendreflow.selfsimilar import SelfSimilarProfile, profile_position
 
@@ -89,7 +87,7 @@ class TestAnalyzeBeta:
         u = uniform_grid(128)
         beta = 0.4 + np.cos(3 * u) - 0.2 * np.sin(7 * u)
         s = analyze_beta(beta, 1)
-        assert truncation_residual(s, beta) < 1e-12
+        assert np.max(np.abs(beta - _beta(s, 0.0, beta.shape[0]))) < 1e-12
 
     def test_open_curve_rejected(self):
         u = uniform_grid(64)
@@ -152,8 +150,8 @@ class TestEvolveBeta:
         for _ in range(5):
             s = random_closed_spectral(rng)
             u = uniform_grid(128)
-            assert np.max(np.abs(evolve_beta(s, 0.0, u)
-                                 - synthesize_beta(s, u))) < 1e-14
+            expected = [mode_derivative(s, v, 0.0) for v in u]
+            assert np.max(np.abs(evolve_beta(s, 0.0, u) - expected)) < 1e-14
 
     def test_negative_time_rejected(self):
         s = SpectralBeta.from_modes(1, a0=1.0)
@@ -231,7 +229,7 @@ class TestReconstruct:
         s = SpectralBeta.from_modes(2, modes={1: (1.0, 0.0)})
         # closed for n = 2; force the mismatch by asking the n = 1 integral
         u = uniform_grid(64)
-        residual = check_closure(synthesize_beta(s, u), 1)
+        residual = check_closure(evolve_beta(s, 0.0, u), 1)
         assert abs(residual[0] - np.pi) < 1e-12
         with pytest.raises(NotClosedError):
             SpectralBeta.from_modes(1, modes={1: (1.0, 0.0)})
@@ -247,7 +245,7 @@ class TestReconstruct:
         # the closure residual is pi (a_n, b_n); every band SpectralBeta
         # admits closes, where an absolute 1e-10 refused |a_n| > 3.2e-11
         s = SpectralBeta.from_modes(1, a0=1.0, modes={1: band})
-        closure = position_increment(s, np.array([2.0 * np.pi]))[0]
+        closure = _increment(s, np.array([2.0 * np.pi]))[0]
         assert np.max(np.abs(closure - np.pi * np.array(band))) < 1e-15
         reconstruct_initial_curve(s, num_samples=64).validate()
 
@@ -295,6 +293,73 @@ class TestEvolveCurve:
         curve = reconstruct_centered_curve(other, 256)
         with pytest.raises(ValidationError):
             evolve_curve(s, curve, 0.5)
+
+    @pytest.mark.parametrize("base, num", [((1e5, 0.0), 8192), ((1e6, 0.0), 512)])
+    def test_translated_curve_evolves_with_its_base(self, base, num):
+        # the stored positions round at eps |X_0| and d_u X_0 amplifies that about
+        # N-fold; a threshold of 1e-8 max |beta_0| alone refused both curves
+        s = SpectralBeta.from_modes(1, modes={2: (1.0, 0.0), 3: (0.3, 0.2)})
+        far = reconstruct_initial_curve(s, base_point=base, num_samples=num)
+        near = reconstruct_initial_curve(s, num_samples=num)
+        rounding = 4.0 * np.finfo(float).eps * np.max(np.abs(far.positions))
+        for t in (0.0, 0.5, 2.0):
+            got, want = evolve_curve(s, far, t), evolve_curve(s, near, t)
+            assert np.max(np.abs(got.curve.positions - want.curve.positions - base)) <= rounding
+            assert np.array_equal(got.curvature.beta, want.curvature.beta)
+
+    @pytest.mark.parametrize("base, num", [((1e5, 0.0), 8192), ((1e6, 0.0), 512)])
+    def test_translated_inconsistent_pair_rejected(self, base, num):
+        s = SpectralBeta.from_modes(1, modes={2: (1.0, 0.0)})
+        other = SpectralBeta.from_modes(1, modes={3: (1.0, 0.0)})
+        curve = reconstruct_initial_curve(other, base_point=base, num_samples=num)
+        with pytest.raises(ValidationError):
+            evolve_curve(s, curve, 0.5)
+
+    def test_decision_matches_physical_check(self, rng, fft_calls):
+        # consistent curves, curves bumped by delta sin(qu) with delta q on both
+        # sides of the threshold, and inconsistent pairs: evolve_curve accepts
+        # exactly when the physical-space mismatch is within the threshold, and
+        # a refusal reports that mismatch (printed to 6 digits)
+        transforms = []
+        for _ in range(4):
+            s = random_closed_spectral(rng, max_truncation=12)
+            other = random_closed_spectral(rng, max_truncation=12)
+            for num in (256, 1024):
+                curve = reconstruct_initial_curve(s, base_point=(0.3, -0.8), num_samples=num)
+                u = curve.grid
+                scale = physical_mismatch(s, curve.positions)[1]
+                cases = [curve.positions,
+                         reconstruct_initial_curve(other, num_samples=num).positions]
+                for q in (3, num // 4 + 1):
+                    for factor in (0.5, 0.9, 1.1, 2.0):
+                        bump = np.zeros((num, 2))
+                        bump[:, q % 2] = factor * 1e-8 * scale / q * np.sin(q * u)
+                        cases.append(curve.positions + bump)
+                for positions in cases:
+                    mismatch, scale = physical_mismatch(s, positions)
+                    threshold = 1e-8 * scale + CONSISTENCY_ROUNDING * np.finfo(float).eps \
+                        * num * np.max(np.abs(positions))
+                    trial = LegendreCurve(positions=positions, normals=curve.normals)
+                    fft_calls.clear()
+                    if mismatch <= threshold:
+                        evolve_curve(s, trial, 0.5)
+                        transforms.append(len(fft_calls))
+                        continue
+                    with pytest.raises(ValidationError) as refusal:
+                        evolve_curve(s, trial, 0.5)
+                    reported = float(str(refusal.value).rsplit("= ", 1)[1])
+                    assert abs(reported - mismatch) <= 5e-6 * mismatch
+        # accepted both by the mode-space certificate and by the exact fallback
+        assert set(transforms) == {3, 5}
+
+    def test_three_transforms_when_certified(self, fft_calls):
+        # one forward FFT certifies the initial curve; the displacement and
+        # beta(t) take one inverse FFT each (the physical-space check took 5)
+        s = SpectralBeta.from_modes(1, modes={2: (1.0, 0.0), 3: (0.3, 0.2)})
+        curve = reconstruct_initial_curve(s, base_point=(0.2, -0.4), num_samples=512)
+        fft_calls.clear()
+        evolve_curve(s, curve, 0.7)
+        assert len(fft_calls) == 3
 
     def test_frontal_and_closure_preserved(self, rng):
         for _ in range(5):
@@ -359,7 +424,7 @@ class TestKernel:
         top = data.draw(st.integers(n, 2 * num))
         s = self.draw(seed, top, n, band)
         grid = _increment(s, num)
-        points = position_increment(s, uniform_grid(num))
+        points = _increment(s, uniform_grid(num))
         scale = np.sum(np.hypot(s.cos_coeffs, s.sin_coeffs)) * 2.0 * np.pi
         assert np.max(np.abs(grid - points)) <= 1e-13 * scale
 
@@ -385,7 +450,7 @@ class TestKernel:
         # beta_0 = a_n cos nu with a_n = 5e-11: int_0^u a_n cos^2 nv dv has the drift a_n u / 2
         s = SpectralBeta.from_modes(2, modes={2: (5e-11, 0.0)})
         u = np.array([np.pi, 2.0 * np.pi])
-        assert np.max(np.abs(position_increment(s, u)[:, 0] - 2.5e-11 * u)) < 1e-25
+        assert np.max(np.abs(_increment(s, u)[:, 0] - 2.5e-11 * u)) < 1e-25
 
 
 class TestSpectralDerivative:
