@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "curves": ("AngleField", "LegendreCurve", "LegendreCurvature", "angle_unwrap",
                "check_closure", "curvature_from_samples", "frame_from_normal",
-               "residual_geometric_equations", "uniform_grid"),
+               "uniform_grid"),
     "spectral": ("FlowState", "SpectralBeta", "analyze_beta", "eigenvalue", "evolve_beta",
                  "evolve_curve", "reconstruct_centered_curve", "reconstruct_initial_curve"),
     "selfsimilar": ("GALLERY_PROFILES", "SelfSimilarProfile", "cusp_count", "lambda_star",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .curves import LegendreCurve
 from .errors import LegendreFlowError, ValidationError
-from .spectral import SpectralBeta, _displacement, _series, _spectrum, eigenvalue
+from .spectral import SpectralBeta, _displacement, eigenvalue
 
 LEADING_TOL = 1e-12
 
@@ -148,17 +148,3 @@ def fit_decay_rate(s: SpectralBeta, initial_curve: LegendreCurve,
         leading_mode=m, center=p, errors=tuple(zip(times.tolist(), errors.tolist())),
         fitted_rate=float(slope), predicted_rate=float(predicted),
         exactly_self_similar=False, envelope_bounded=envelope_ok)
-
-
-def derivative_gap_sup(s: SpectralBeta, t, order, num_samples=2048):
-    """sup_u |d_u^i (beta - beta_leading)(u, t)| / lambda*(t).
-
-    Used to evidence that the convergence holds at every derivative order:
-    each sub-leading mode just picks up an (ik)^i factor.
-    """
-    m, _, _ = leading_mode(s)
-    lam_m = eigenvalue(s.n, m)
-    keep = _surviving(s)
-    keep[[0, m]] = False
-    gap = _spectrum(s, lambda lam: np.exp((lam - lam_m) * t), du=order, keep=keep)
-    return float(np.max(np.abs(_series(gap, num_samples))))

@@ -14,7 +14,7 @@ differences; everything spectral lives in :mod:`legendreflow.spectral`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,42 +200,3 @@ def check_closure(beta, n):
     rx = du * np.sum(beta * np.cos(n * u))
     ry = du * np.sum(beta * np.sin(n * u))
     return np.array([rx, ry])
-
-
-@dataclass(frozen=True)
-class GeometricResiduals:
-    """Max-norm residuals of the governing equations for an exact flow state."""
-
-    flow_equation: float   # d_t beta - (d_uu beta / n^2 + beta)
-    general_beta_equation: float  # d_t beta - (N l + d_u T) with N=beta/l, T=d_u beta/l^2
-    grid_size: int = field(default=0)
-
-    @property
-    def max_residual(self):
-        return max(self.flow_equation, self.general_beta_equation)
-
-
-def residual_geometric_equations(flow, t, n, num_samples=512):
-    """Residuals of the beta evolution equations for a spectral flow state.
-
-    ``flow`` is a SpectralBeta; d_t beta is evaluated analytically from the
-    mode sum and compared against d_uu beta / n^2 + beta, and against the
-    general form N*l + d_u T with N = beta/l and T = d_u beta / l^2, l == n.
-    Both vanish identically for the exact solution; the returned values are
-    pure floating-point noise.
-    """
-    from .spectral import evolve_beta
-
-    u = uniform_grid(num_samples)
-    beta = evolve_beta(flow, t, u)
-    beta_t = evolve_beta(flow, t, u, dt=1)
-    beta_uu = evolve_beta(flow, t, u, du=2)
-    flow_res = np.max(np.abs(beta_t - (beta_uu / n**2 + beta)))
-    # N l + d_u T with N = beta/l, T = d_u beta / l^2 and l == n
-    d_u_T = beta_uu / n**2
-    general_res = np.max(np.abs(beta_t - (beta * n / n + d_u_T)))
-    return GeometricResiduals(
-        flow_equation=float(flow_res),
-        general_beta_equation=float(general_res),
-        grid_size=num_samples,
-    )

@@ -215,26 +215,3 @@ def gradient_bound_envelope(trajectory: PhiTrajectory, max_du_forcing):
         rows.append((float(t), float(np.exp(-m) * g0_min), float(lo),
                      float(hi), float(np.exp(m) * g0_max)))
     return rows
-
-
-def tangent_velocity_form_check(state_a, state_b):
-    """Residual of the tangent-velocity identity between two nearby states.
-
-    Computes T = <dX/dt, mu> from the position difference and compares with
-    d_u beta / l^2 at the midpoint time (F == 0 for the special flow).
-    Returns the max-norm residual relative to the beta scale.
-    """
-    dt = state_b.t - state_a.t
-    if not 0.0 < dt <= 1e-4:
-        raise ValidationError("states must be ordered with 0 < dt <= 1e-4")
-    num = state_a.curve.grid_size
-    u = state_a.curve.grid
-    n = int(round(state_a.curvature.ell[0]))
-    mu = np.stack([np.cos(n * u), np.sin(n * u)], axis=-1)
-    velocity = (state_b.curve.positions - state_a.curve.positions) / dt
-    t_num = np.sum(velocity * mu, axis=1)
-    beta_mid = 0.5 * (state_a.curvature.beta + state_b.curvature.beta)
-    from .spectral import spectral_derivative
-    t_exact = spectral_derivative(beta_mid) / (n * n)
-    scale = max(1.0, float(np.max(np.abs(beta_mid))))
-    return float(np.max(np.abs(t_num - t_exact))) / scale

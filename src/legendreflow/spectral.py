@@ -228,17 +228,10 @@ def _increment(s: SpectralBeta, u):
 
 
 def reconstruct_initial_curve(s: SpectralBeta, base_point=(0.0, 0.0), num_samples=512):
-    """X_0(u) = base_point + int_0^u beta_0 mu dv, nu_0(u) = (sin nu, -cos nu)."""
-    # int_0^2pi beta_0 mu is the p = 0 term 2 pi h_0 of _increment, pi (a_n, b_n):
-    # the n band SpectralBeta admits always closes
-    closure = np.pi * np.array([s.cos_coeffs[s.n], s.sin_coeffs[s.n]]) \
-        if s.n <= s.truncation else np.zeros(2)
-    size = np.sum(np.abs(s.cos_coeffs)) + np.sum(np.abs(s.sin_coeffs))
-    if np.max(np.abs(closure)) > np.pi * N_BAND_TOL + 8.0 * np.finfo(float).eps * size:
-        raise NotClosedError(
-            f"closure residual {tuple(closure)} is nonzero; beta_0 does not "
-            "trace a closed curve"
-        )
+    """X_0(u) = base_point + int_0^u beta_0 mu dv, nu_0(u) = (sin nu, -cos nu).
+
+    The curve closes to within pi N_BAND_TOL: int_0^2pi beta_0 mu = pi (a_n,
+    b_n), and SpectralBeta admits no larger n band."""
     u = uniform_grid(num_samples)
     positions = np.asarray(base_point, dtype=float) + _increment(s, num_samples)
     normals = np.stack([np.sin(s.n * u), -np.cos(s.n * u)], axis=-1)

@@ -1,5 +1,7 @@
 """Shared fixtures and random-data helpers for the suite."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -123,32 +125,46 @@ def per_mode_scaled_error(s, t, num=1024):
     return float(np.max(np.abs(total)))
 
 
+#: Companion roots within this of the unit circle are zeros, and two within
+#: it of each other are the halves of one split double root.
+COMPANION_TOL = 1e-6
+
+
 def companion_roots(c):
-    """The 2K roots of z^K beta for one trimmed coefficient row c by np.roots
-    (the per-row solve before the companion matrices were stacked)."""
+    """The 2K roots of z^K beta for one coefficient row c by np.roots, its
+    modes below 1e-12 of the largest dropped: one just above rounding moves
+    the roots near the circle off it by far more than its own size."""
+    c = np.where(np.abs(c) < 1e-12 * np.abs(c).max(), 0.0, c)
     return np.roots(np.concatenate([0.5 * c[:0:-1], [c[0].real], 0.5 * np.conj(c[1:])]))
 
 
+def companion_zeros(c):
+    """(u, merged): the zeros of one coefficient row c from its companion
+    roots, those within COMPANION_TOL of the circle, in order around it; the
+    halves of a split double root are merged into one zero, flagged."""
+    roots = companion_roots(c)
+    z = roots[np.abs(np.abs(roots) - 1.0) < COMPANION_TOL]
+    z = z[np.argsort(np.mod(np.angle(z), 2.0 * np.pi))]
+    close = np.abs(z - np.roll(z, 1)) < COMPANION_TOL
+    label = np.zeros(z.shape[0], dtype=int) if close.all() else np.cumsum(~close) - 1
+    label[label < 0] = label[-1] if label.size else 0     # a pair across the seam
+    centre = np.bincount(label, z.real) + 1j * np.bincount(label, z.imag)
+    return np.mod(np.angle(centre), 2.0 * np.pi), np.bincount(label) > 1
+
+
 def per_time_reports(s, times):
-    """find_zeros time by time, each row's unit-circle roots merged, polished
-    and classified on their own (the report before its rows were stacked):
-    per time (t, [(u, d_u beta, kind)], scale, certificate)."""
-    from legendreflow.cusps import (CERTIFICATE_MARGIN, DERIVATIVE_THRESHOLD, UNIT_CIRCLE_TOL,
-                                    _certificates, _evolved_rows)
+    """find_zeros time by time from each row's companion zeros, polished and
+    classified on their own (the report before its rows were stacked and
+    solved by cells): per time (t, [(u, d_u beta, kind)], scale, certificate)."""
+    from legendreflow.cusps import (CERTIFICATE_MARGIN, DERIVATIVE_THRESHOLD, _certificates,
+                                    _evolved_rows)
     from legendreflow.spectral import _series
 
-    c, rows, shift = _evolved_rows(s, times)
+    c, shift = _evolved_rows(s, times)
     mode, margin = _certificates(c)
     out = []
-    for t, row, h, j, m in zip(times, rows, shift, mode, margin):
-        roots = companion_roots(row)
-        z = roots[np.abs(np.abs(roots) - 1.0) < UNIT_CIRCLE_TOL]
-        z = z[np.argsort(np.mod(np.angle(z), 2.0 * np.pi))]
-        close = np.abs(z - np.roll(z, 1)) < UNIT_CIRCLE_TOL
-        label = np.zeros(z.shape[0], dtype=int) if close.all() else np.cumsum(~close) - 1
-        label[label < 0] = label[-1] if label.size else 0     # a pair across the seam
-        centre = np.bincount(label, z.real) + 1j * np.bincount(label, z.imag)
-        u, merged = np.mod(np.angle(centre), 2.0 * np.pi), np.bincount(label) > 1
+    for t, row, h, j, m in zip(times, c, shift, mode, margin):
+        u, merged = companion_zeros(row)
         k = np.arange(row.shape[0])
 
         def d(p, u):
@@ -157,7 +173,7 @@ def per_time_reports(s, times):
         for _ in range(2):
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = np.where(merged, d(1, u) / d(2, u), d(0, u) / d(1, u))
-            u = np.mod(u - np.where(np.abs(step) < UNIT_CIRCLE_TOL, step, 0.0), 2.0 * np.pi)
+            u = np.mod(u - np.where(np.abs(step) < COMPANION_TOL, step, 0.0), 2.0 * np.pi)
         u = np.sort(u)
         slope, scale = d(1, u), float(np.max(np.abs(_series(row, max(2048, 32 * row.shape[0])))))
         zeros = [(float(r), float(np.exp(h) * b),
@@ -173,20 +189,24 @@ def bisection_strict_decrease(s, series):
     one Newton solve of beta = d_u beta = 0 in (u, t) from the bracket's
     midpoint and the angle of the root pair that left the circle at its end
     (the detector before it solved for the folds directly)."""
-    from legendreflow.cusps import (EVENT_DT, UNIT_CIRCLE_TOL, DecreaseEvent, _count,
-                                    _derivatives, _evolved, _sup)
+    from legendreflow.cusps import (EVENT_DT, DecreaseEvent, _counts, _derivatives,
+                                    _evolved_rows, _sup)
+
+    def row(t):
+        return _evolved_rows(s, [t])[0][0]
+
+    def count(t):
+        return _counts(s, [t])[0]
 
     def witness(lo, hi):
-        roots = companion_roots(_evolved(s, hi)[0])
+        roots = companion_roots(row(hi))
         gap = np.abs(np.abs(roots) - 1.0)
-        start = float(np.angle(roots[np.argmin(np.where(gap < UNIT_CIRCLE_TOL, np.inf, gap))]))
+        start = float(np.angle(roots[np.argmin(np.where(gap < COMPANION_TOL, np.inf, gap))]))
         u, t = start, 0.5 * (lo + hi)
         with np.errstate(all="ignore"):
             for _ in range(12):
-                c, _ = _evolved(s, t)
                 b, bt, bu, btu, buu = _derivatives(
-                    c, [u], ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0)),
-                    s.eigenvalues()[: c.shape[0]])[0]
+                    row(t), [u], ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0)), s.eigenvalues())[0]
                 det = bu * btu - bt * buu
                 du, dt = (bt * bu - b * btu) / det, (b * buu - bu * bu) / det
                 u, t = u + du, t + dt
@@ -201,10 +221,10 @@ def bisection_strict_decrease(s, series):
             lo, hi = cur_t, t_hi
             while hi - lo > EVENT_DT:
                 mid = 0.5 * (lo + hi)
-                lo, hi = (lo, mid) if _count(s, mid) < cur_z else (mid, hi)
-            z_after = _count(s, hi)
+                lo, hi = (lo, mid) if count(mid) < cur_z else (mid, hi)
+            z_after = count(hi)
             wu, t_event = witness(max(lo - EVENT_DT, t_lo), hi)
-            c, _ = _evolved(s, t_event)
+            c = row(t_event)
             wbeta, wdbeta = _derivatives(c, [wu], ((0, 0), (1, 0)))[0] / _sup(c)
             events.append(DecreaseEvent((float(t_lo), float(t_hi)), float(t_event),
                                         int(cur_z), int(z_after), wu,
@@ -213,21 +233,36 @@ def bisection_strict_decrease(s, series):
     return events
 
 
-@pytest.fixture
-def root_solves(monkeypatch):
-    """The companion matrices solved so far, one entry (the row's length K + 1)
-    per row of every stack passed to cusps._roots."""
+@contextlib.contextmanager
+def no_eigensolve():
+    """A context inside which numpy.linalg.eigvals raises, so the library
+    calls it wraps provably solve no companion matrix; the test's own
+    references run outside it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigvals called")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigvals", refuse)
+        yield
+
+
+@contextlib.contextmanager
+def rolle_cells():
+    """A list, filled while the context is open, of the rows of the cells
+    passed to the Rolle step (cusps._rolle), one entry per cell."""
     from legendreflow import cusps
 
-    calls = []
-    solve = cusps._roots
+    cells = []
+    step = cusps._rolle
 
-    def counted(rows):
-        calls.extend(c.shape[0] for c in rows)
-        return solve(rows)
+    def counted(c, row, *args):
+        cells.extend(row.tolist())
+        return step(c, row, *args)
 
-    monkeypatch.setattr(cusps, "_roots", counted)
-    return calls
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cusps, "_rolle", counted)
+        yield cells
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ from conftest import per_mode_scaled_error, random_closed_spectral
 from legendreflow.asymptotics import (
     _scaled_errors,
     center_point,
-    derivative_gap_sup,
     fit_decay_rate,
     leading_mode,
     predicted_decay_rate,
@@ -19,6 +18,8 @@ from legendreflow.errors import LegendreFlowError, ValidationError
 from legendreflow.selfsimilar import SelfSimilarProfile, profile_position
 from legendreflow.spectral import (
     SpectralBeta,
+    eigenvalue,
+    evolve_beta,
     evolve_curve,
     reconstruct_initial_curve,
 )
@@ -178,8 +179,16 @@ class TestFitDecayRate:
 class TestDerivativeLevelDecay:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_same_rate_at_each_order(self, order):
+        # sup |d_u^i (beta - beta_leading)| / e^{lambda_m t}: each sub-leading
+        # mode only picks up an (ik)^i factor, so the rate holds at every order
         s, _ = two_mode_data()
+        m, _, _ = leading_mode(s)
+        a, b = s.cos_coeffs.copy(), s.sin_coeffs.copy()
+        a[[0, m]] = b[[0, m]] = 0.0
+        gap = SpectralBeta(n=s.n, cos_coeffs=a, sin_coeffs=b)
+        u = uniform_grid(2048)
         times = np.linspace(1.0, 6.0, 6)
-        vals = [derivative_gap_sup(s, t, order) for t in times]
+        vals = [np.max(np.abs(evolve_beta(gap, t, u, du=order))) * np.exp(-eigenvalue(s.n, m) * t)
+                for t in times]
         slope, _ = np.polyfit(times, np.log(vals), 1)
         assert abs(slope - (-12.0)) < 0.02 * 12.0

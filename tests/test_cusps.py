@@ -4,15 +4,17 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
     per_time_reports,
     bisection_strict_decrease,
-    companion_roots,
+    companion_zeros,
     degenerate_zero_near,
     grid_zero_count,
+    no_eigensolve,
     random_closed_spectral,
+    rolle_cells,
 )
 from legendreflow import cusps
 from legendreflow.cli import main
@@ -21,7 +23,7 @@ from legendreflow.cusps import (
     find_zeros,
     zero_count_series,
 )
-from legendreflow.errors import ValidationError
+from legendreflow.errors import InvariantViolationError, ValidationError
 from legendreflow.spectral import SpectralBeta, evolve_beta
 
 
@@ -40,13 +42,24 @@ class TestFindZeros:
         assert find_zeros(s, 0.3).count == 0
 
     def test_tangential_zero_classified_degenerate(self):
-        # beta(u) = 1 - cos u touches zero at u = 0 with vanishing derivative
-        s = SpectralBeta.from_modes(2, a0=1.0, modes={1: (-1.0, 0.0)})
-        report = find_zeros(s, 0.0)
-        assert report.count == 1
-        z = report.zeros[0]
-        assert min(z.location, 2 * np.pi - z.location) < 1e-6
-        assert z.kind == "degenerate"
+        # beta(u) = 1 - cos u touches zero at u = 0 with vanishing derivative;
+        # u = 0 ends two cells, which count it once, beta above 0 or below
+        for sign in (1.0, -1.0):
+            s = SpectralBeta.from_modes(2, a0=sign, modes={1: (-sign, 0.0)})
+            report = find_zeros(s, 0.0)
+            assert report.count == 1
+            z = report.zeros[0]
+            assert min(z.location, 2 * np.pi - z.location) < 1e-6
+            assert z.kind == "degenerate"
+
+    def test_quadruple_zero_refused(self):
+        # beta_0 = (1 - cos u)^2 = 3/2 - 2 cos u + cos(2u)/2 has a quadruple
+        # zero at u = 0, which no derivative up to ROLLE_ORDER isolates
+        s = SpectralBeta.from_modes(3, a0=1.5, modes={1: (-2.0, 0.0), 2: (0.5, 0.0)})
+        with pytest.raises(InvariantViolationError, match="higher multiplicity"):
+            find_zeros(s, 0.0)
+        with pytest.raises(InvariantViolationError, match="higher multiplicity"):
+            cusps._counts(s, [0.0])
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 5.0))
     @settings(max_examples=60, deadline=None)
@@ -78,35 +91,19 @@ def _beta0(kind, seed):
 
 class TestStackedSolve:
     """Counts are settled by the dominant-mode certificate where it holds, by
-    the cell certificate where it decides, and by stacked companion solves
-    elsewhere."""
-
-    def test_roots_bitwise_equal_to_np_roots(self):
-        # n = 1: mode 5 (rate -25 against the mean mode) falls below
-        # NEGLIGIBLE_MODE after t = 1.35, mode 2 (rate -4) after t = 8.4:
-        # the rows of one stack trim to lengths 6, 3 and 1 (no roots)
-        s = SpectralBeta.from_modes(1, a0=0.3, modes={2: (1.0, 0.5), 5: (0.7, -1.0)})
-        rows = cusps._evolved_rows(s, [0.1, 0.5, 2.0, 4.0, 10.0])[1]
-        assert [row.shape[0] for row in rows] == [6, 6, 3, 3, 1]
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            s = random_closed_spectral(rng, max_truncation=12)
-            rows += cusps._evolved_rows(s, np.geomspace(0.01, 10.0, 7))[1]
-        assert len({row.shape[0] for row in rows}) >= 8
-        for row, roots in zip(rows, cusps._roots(rows)):
-            reference = companion_roots(row)
-            assert roots.shape == reference.shape
-            assert np.array_equal(roots, reference)
+    the cell certificate elsewhere, and by its Rolle step in the cells the
+    halvings leave; no count solves a companion matrix."""
 
     @given(st.sampled_from(["test05", "pure", "two-mode"]), st.integers(0, 2**32 - 1),
            st.floats(0.0, 5.0))
+    @example("two-mode", 6408385, 3.0)  # mode 6 at 2.4e-14 of mode 5: 10 zeros
     @settings(max_examples=80, deadline=None)
     def test_certified_count_is_exact(self, kind, seed, t):
         s = _beta0(kind, seed)
-        c, [row], _ = cusps._evolved_rows(s, [t])
+        c, _ = cusps._evolved_rows(s, [t])
         mode, margin = cusps._certificates(c)
-        exact = cusps._circle_zeros([companion_roots(row)])[0].shape[0]
-        assert cusps._count(s, t) == exact
+        exact = companion_zeros(c[0])[0].shape[0]
+        assert cusps._counts(s, [t])[0] == exact
         report = find_zeros(s, t)
         if margin[0] <= cusps.CERTIFICATE_MARGIN:
             assert report.certificate is None
@@ -118,25 +115,53 @@ class TestStackedSolve:
 
     @given(st.sampled_from(["test05", "pure", "two-mode"]), st.integers(0, 2**32 - 1),
            st.floats(0.0, 5.0))
+    @example("two-mode", 6408385, 3.0)  # mode 6 at 2.4e-14 of mode 5: 10 zeros
     @settings(max_examples=80, deadline=None)
     def test_cell_count_is_exact(self, kind, seed, t):
         s = _beta0(kind, seed)
-        c, [row], _ = cusps._evolved_rows(s, [t])
-        [cell] = cusps._cell_zeros(c)[0]
-        assume(cell >= 0)
-        assert cell == cusps._circle_zeros([companion_roots(row)])[0].shape[0]
+        c, _ = cusps._evolved_rows(s, [t])
+        with rolle_cells() as cells:
+            [cell] = cusps._cell_zeros(c)[0]
+        # zeros closer than a halved cell, which the grid oracle cannot resolve
+        assume(not cells)
+        assert cell == companion_zeros(c[0])[0].shape[0]
         assert cell == grid_zero_count(s, t)
 
-    def test_fold_left_to_the_companion_step(self, root_solves):
+    def test_fold_left_to_the_rolle_step(self):
         # n = 1: 0.01 e^t + e^{-3t} cos 2u has double zeros at pi/2 and 3 pi/2
-        # when 0.01 e^{4t} = 1, which no cell certifies
+        # when 0.01 e^{4t} = 1, which no cell decides: the Rolle step counts
+        # each once, pinned to its grid point
         s = SpectralBeta.from_modes(1, a0=0.01, modes={2: (1.0, 0.0)})
         t_star = np.log(100.0) / 4.0
-        c, [row], _ = cusps._evolved_rows(s, [t_star])
+        c, _ = cusps._evolved_rows(s, [t_star])
         assert cusps._certificates(c)[1][0] <= cusps.CERTIFICATE_MARGIN
-        assert cusps._cell_zeros(c)[0].tolist() == [-1]
-        assert cusps._count(s, t_star) == cusps._circle_zeros([companion_roots(row)])[0].shape[0]
-        assert root_solves == [3]
+        with no_eigensolve(), rolle_cells() as cells:
+            report = find_zeros(s, t_star)
+            count = cusps._counts(s, [t_star])[0]
+        assert cells
+        assert count == report.count == 2 == companion_zeros(c[0])[0].shape[0]
+        assert [z.kind for z in report.zeros] == ["degenerate"] * 2
+        assert np.allclose([z.location for z in report.zeros], [np.pi / 2, 3 * np.pi / 2],
+                           rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-12])
+    def test_near_fold_zeros_left_to_the_rolle_step(self, gap):
+        # the same beta a time gap before t*: each pair of zeros, 2 sqrt(2 gap)
+        # apart about pi/2 and 3 pi/2, lies in the two halved cells that end
+        # there, and the Rolle step finds both, simple, one on either side
+        s = SpectralBeta.from_modes(1, a0=0.01, modes={2: (1.0, 0.0)})
+        t = np.log(100.0) / 4.0 - gap
+        with rolle_cells() as cells:
+            report = find_zeros(s, t)
+        row = cusps._evolved_rows(s, [t])[0][0]
+        assert cells
+        assert report.count == 4 == companion_zeros(row)[0].shape[0]
+        assert {z.kind for z in report.zeros} == {"simple_cusp"}
+        u = np.array([z.location for z in report.zeros])
+        offset = (u - np.pi / 2 * np.array([1, 1, 3, 3])) * np.array([-1, 1, -1, 1])
+        assert np.allclose(offset, np.sqrt(2.0 * gap), rtol=1e-3, atol=0.0)
+        beta = cusps._derivatives(row, u, ((0, 0),))[:, 0]
+        assert np.max(np.abs(beta)) <= 64 * np.finfo(float).eps * np.abs(row).sum()
 
     def test_series_matches_report_series(self):
         rng = np.random.default_rng(11)
@@ -147,14 +172,14 @@ class TestStackedSolve:
             assert zero_count_series(s, times) == [(r.t, r.count) for r in reports]
             assert reports == [find_zeros(s, t) for t in times]
 
-    def test_report_solve_budget(self, root_solves):
+    def test_report_solve_budget(self):
         # acceptance test 05's draws: reports take their zeros from the cells
-        # and solve only the rows with an undecided cell (3,000 rows before)
+        # and solve no companion matrix (3,000 rows before the cells)
         rng = np.random.default_rng(777)
-        for _ in range(100):
-            cusps.report_series(random_closed_spectral(rng, max_truncation=6),
-                                np.geomspace(0.01, 10.0, 30))
-        assert len(root_solves) <= 10
+        with no_eigensolve():
+            for _ in range(100):
+                cusps.report_series(random_closed_spectral(rng, max_truncation=6),
+                                    np.geomspace(0.01, 10.0, 30))
 
     @given(st.sampled_from(["test05", "pure", "two-mode"]), st.integers(0, 2**32 - 1),
            st.floats(0.0, 5.0))
@@ -164,7 +189,7 @@ class TestStackedSolve:
         # that stalls, such as one that drops steps longer than a limit, leaves
         # |beta| far above rounding there
         s = _beta0(kind, seed)
-        row, _ = cusps._evolved(s, t)
+        row = cusps._evolved_rows(s, [t])[0][0]
         u = [z.location for z in find_zeros(s, t).zeros if z.kind == "simple_cusp"]
         assume(u)
         beta = cusps._derivatives(row, u, ((0, 0),))[:, 0]
@@ -381,13 +406,16 @@ class TestFoldLocator:
 
     @pytest.mark.parametrize("index", [859, 1375, 1642, 1847])
     def test_starts_where_the_cells_stay_undecided(self, index):
-        # benchmark-pool candidates with a drop whose first row the cells leave
-        # undecided: its Newton starts lie between the zeros of its roots
+        # benchmark-pool candidates with a drop whose first row holds zeros
+        # about to meet, which the cells left undecided while they allowed a
+        # band around the axis: they count them as the companion roots do,
+        # and its Newton starts lie between them
         s = random_closed_spectral(np.random.default_rng([20251006, index]),
                                    max_truncation=12)
         series = zero_count_series(s, self.TIMES)
         lows = [t for (t, z), (_, z1) in zip(series, series[1:]) if z1 < z]
-        assert np.any(cusps._cell_zeros(cusps._evolved_rows(s, lows)[0])[0] < 0)
+        c, _ = cusps._evolved_rows(s, lows)
+        assert cusps._cell_zeros(c)[0].tolist() == [companion_zeros(row)[0].shape[0] for row in c]
         events = detect_strict_decrease(s, series)
         reference = bisection_strict_decrease(s, series)
         assert _event_key(events) == _event_key(reference)
@@ -395,33 +423,34 @@ class TestFoldLocator:
             assert event.certificate[0] == "fold"
             assert abs(event.t_event - ref.t_event) <= 1e-13
 
-    def test_solve_budget(self, root_solves):
-        # acceptance test 05's draws; bisection to EVENT_DT took about 18 each
+    def test_solve_budget(self):
+        # acceptance test 05's draws; bisection to EVENT_DT took about 18
+        # companion solves each, and the events now solve none
         rng = np.random.default_rng(777)
-        solves = events = 0
+        events = 0
         for _ in range(100):
             s = random_closed_spectral(rng, max_truncation=6)
             series = zero_count_series(s, self.TIMES)
-            before = len(root_solves)
-            events += len(detect_strict_decrease(s, series))
-            solves += len(root_solves) - before
+            with no_eigensolve():
+                events += len(detect_strict_decrease(s, series))
         assert events > 100
-        assert solves <= 4 * events
 
-    def test_series_solve_budget(self, root_solves):
-        # acceptance test 05's draws: certified times need no companion solve
+    def test_series_solve_budget(self):
+        # acceptance test 05's draws: no time needs a companion solve
         rng = np.random.default_rng(777)
-        for _ in range(100):
-            zero_count_series(random_closed_spectral(rng, max_truncation=6), self.TIMES)
-        assert len(root_solves) <= 20 * 100
+        with no_eigensolve():
+            for _ in range(100):
+                zero_count_series(random_closed_spectral(rng, max_truncation=6), self.TIMES)
 
-    def test_series_cell_budget(self, root_solves):
+    def test_series_cell_budget(self):
         # acceptance test 05's draws: the cell certificate settles the times
-        # the dominant-mode certificate leaves open
+        # the dominant-mode certificate leaves open, its halvings all but a
+        # few cells
         rng = np.random.default_rng(777)
-        for _ in range(100):
-            zero_count_series(random_closed_spectral(rng, max_truncation=6), self.TIMES)
-        assert len(root_solves) <= 10
+        with rolle_cells() as cells:
+            for _ in range(100):
+                zero_count_series(random_closed_spectral(rng, max_truncation=6), self.TIMES)
+        assert len(cells) <= 10
 
     def test_bisection_fallback_on_three_zeros_merging(self, monkeypatch):
         # n = 2, 0.05 cos u + cos 3u: at t = ln(60)/2 three zeros merge at
@@ -482,24 +511,16 @@ class TestFoldLocator:
                 assert event.certificate == ("bisection",)
                 assert abs(event.t_event - ref.t_event) <= 1e-13
 
-    def test_event_solve_budget(self, root_solves):
+    def test_event_solve_budget(self):
         # acceptance test 05's draws: every event is certified by its folds,
-        # with no companion solve but for the Newton starts of a drop whose
-        # first row the cell certificate leaves undecided
+        # and the Newton starts come from the cells, with no companion solve
         rng = np.random.default_rng(777)
-        solves = undecided = 0
         events = []
-        for _ in range(100):
-            s = random_closed_spectral(rng, max_truncation=6)
-            series = zero_count_series(s, self.TIMES)
-            lows = [t for (t, z), (_, z1) in zip(series, series[1:]) if z1 < z]
-            if lows:
-                undecided += int(np.sum(cusps._cell_zeros(cusps._evolved_rows(s, lows)[0])[0] < 0))
-            before = len(root_solves)
-            events += detect_strict_decrease(s, series)
-            solves += len(root_solves) - before
+        with no_eigensolve():
+            for _ in range(100):
+                s = random_closed_spectral(rng, max_truncation=6)
+                events += detect_strict_decrease(s, zero_count_series(s, self.TIMES))
         assert len(events) > 100
-        assert solves <= undecided
         assert {e.certificate[0] for e in events} == {"fold"}
 
 

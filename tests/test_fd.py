@@ -12,7 +12,6 @@ from legendreflow.fd import (
     gradient_bound_envelope,
     solve_beta_fd,
     solve_phi_fd,
-    tangent_velocity_form_check,
 )
 from legendreflow.spectral import (
     SpectralBeta,
@@ -208,35 +207,34 @@ class TestSolvePhiFD:
             solve_phi_fd(state0, lambda v, t: np.ones_like(v), 0.1, grid)
 
 
+def tangent_velocity_residual(s, curve, t, dt=1e-5):
+    """The tangent velocity T = <d_t X, mu> of the flow (F = 0, l = n) from
+    two evolve_curve states dt apart, against d_u beta / n^2 at the midpoint
+    time from evolve_beta: the max-norm residual over max(1, max |beta|)."""
+    a, b = evolve_curve(s, curve, t), evolve_curve(s, curve, t + dt)
+    u = curve.grid
+    mu = np.stack([np.cos(s.n * u), np.sin(s.n * u)], axis=-1)
+    velocity = np.sum((b.curve.positions - a.curve.positions) / dt * mu, axis=1)
+    exact = evolve_beta(s, t + 0.5 * dt, u, du=1) / s.n**2
+    scale = max(1.0, float(np.max(np.abs(evolve_beta(s, t + 0.5 * dt, u)))))
+    return float(np.max(np.abs(velocity - exact))) / scale
+
+
 class TestTangentVelocityForm:
     def test_single_mode(self):
         s = SpectralBeta.from_modes(1, modes={2: (1.0, 0.0)})
         curve = reconstruct_centered_curve(s, 256)
-        a = evolve_curve(s, curve, 0.5)
-        b = evolve_curve(s, curve, 0.5 + 1e-5)
-        assert tangent_velocity_form_check(a, b) < 1e-8
+        assert tangent_velocity_residual(s, curve, 0.5) < 1e-8
 
     def test_mean_mode_velocity_purely_normal(self):
         s = SpectralBeta.from_modes(1, a0=2.0)
         curve = reconstruct_centered_curve(s, 256)
-        a = evolve_curve(s, curve, 0.3)
-        b = evolve_curve(s, curve, 0.3 + 1e-5)
-        assert tangent_velocity_form_check(a, b) < 1e-9
+        assert tangent_velocity_residual(s, curve, 0.3) < 1e-9
 
     def test_mixed_modes(self):
         s = SpectralBeta.from_modes(1, modes={2: (1.0, 0.0), 5: (0.0, 0.4)})
         curve = reconstruct_centered_curve(s, 512)
-        a = evolve_curve(s, curve, 0.5)
-        b = evolve_curve(s, curve, 0.5 + 1e-5)
-        assert tangent_velocity_form_check(a, b) < 1e-6
-
-    def test_large_step_rejected(self):
-        s = SpectralBeta.from_modes(1, a0=1.0)
-        curve = reconstruct_centered_curve(s, 128)
-        a = evolve_curve(s, curve, 0.0)
-        b = evolve_curve(s, curve, 0.1)
-        with pytest.raises(ValidationError):
-            tangent_velocity_form_check(a, b)
+        assert tangent_velocity_residual(s, curve, 0.5) < 1e-6
 
     def test_normal_field_is_static(self):
         s = SpectralBeta.from_modes(1, modes={2: (1.0, 0.0)})
