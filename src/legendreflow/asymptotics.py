@@ -112,7 +112,8 @@ def fit_decay_rate(s: SpectralBeta, initial_curve: LegendreCurve,
     """Least-squares slope of log(scaled error) vs t, with the sharp-rate
     contract |fitted - predicted| < 0.01 |predicted| left to the caller.
 
-    Underflowing samples (error < 1e-14) trigger one window-shrink retry; a
+    The scaled errors have no cancellation, so only an underflowing one (below
+    the smallest normal double) triggers one window-shrink retry; a
     single-mode input is reported as exactly self-similar instead of fitted.
     """
     if times is None:
@@ -129,7 +130,7 @@ def fit_decay_rate(s: SpectralBeta, initial_curve: LegendreCurve,
             predicted_rate=None, exactly_self_similar=True)
 
     errors = _scaled_errors(s, times, 1024)
-    if np.any(errors < 1e-14):
+    if np.any(errors < np.finfo(float).tiny):
         times = times[0] + (times - times[0]) * 0.5
         errors = _scaled_errors(s, times, 1024)
         if np.any(errors <= 0.0):

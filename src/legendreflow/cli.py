@@ -28,8 +28,8 @@ from .errors import InvariantViolationError, LegendreFlowError, ValidationError
 #: Largest --samples and --curve row count; oracle-check refines to twice as
 #: many points, and a --curve input is projected onto K = N/2 - 1 modes.
 MAX_SAMPLES = 2 ** 16
-#: Largest mode index K: cusps samples each row on 4 (K + 1) and 32 K points,
-#: and its cells' rounding allowance was measured up to K = 128.
+#: Largest mode index K: cusps samples each row on 4 (K + 1) points, and its
+#: cells' rounding allowance was measured up to K = 128.
 MAX_MODE = 128
 #: Largest n + m of a self-similar profile, whose render grid is 64 (n + m) points.
 MAX_PROFILE_FREQUENCY = MAX_SAMPLES // 64

@@ -126,10 +126,6 @@ class LegendreCurvature:
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "beta", beta)
 
-    @property
-    def is_l_convex(self):
-        return bool(np.all(self.ell > 0.0))
-
 
 @dataclass(frozen=True)
 class AngleField:

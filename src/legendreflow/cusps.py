@@ -50,7 +50,9 @@ point ends no free or monotone cell, so the cells on both sides of it take
 the Rolle step, and the piece it starts counts it once.  Counts, reports and
 the starts of the fold solve below all take their zeros from this one finder
 (_cell_zeros).  A report polishes each zero by Newton steps kept inside the
-cell or piece that holds it alone.
+cell or piece that holds it alone, and takes its kind from the certificate
+that found it: a zero of a monotone cell or piece is simple, a (2,3)-cusp,
+and a pinned one is degenerate.
 
 A drop of z(t) over an interval (t_lo, t_hi) of the series is located at
 its folds and certified by counting them.  At a zero beta_t = beta_uu/n^2 +
@@ -86,7 +88,6 @@ import numpy as np
 from .errors import InvariantViolationError, ValidationError
 from .spectral import SpectralBeta, _series
 
-DERIVATIVE_THRESHOLD = 1e-8     # relative: simple cusp iff |d_u beta| > thr * scale
 NEGLIGIBLE_MODE = 1e-14         # relative: smaller evolved modes are dropped
 # Folds closer than this in t are one event; the bisection fallback brackets
 # each event to it.
@@ -120,7 +121,6 @@ class Zero:
 class CuspReport:
     t: float
     zeros: tuple
-    scale: float
     certificate: tuple | None = None  # (j, margin) where mode j certifiably dominates: z = 2j
 
     @property
@@ -174,12 +174,6 @@ def _derivatives(c, u, orders, lam=None):
     weights = (1j * k)[:, None] ** p * (1.0 if lam is None else lam[:, None] ** q)
     terms = c * np.exp(1j * np.multiply.outer(np.asarray(u, dtype=float), k))
     return np.real(terms[..., None, :] @ weights)[..., 0, :]
-
-
-def _sup(c):
-    """sup |Re sum_k c_k e^{iku}| on a uniform grid per row of c (or of the
-    one row c), all rows by one inverse FFT."""
-    return np.max(np.abs(_series(c.T, max(2048, 32 * c.shape[-1]))), axis=0)
 
 
 def _certificates(c):
@@ -315,34 +309,33 @@ def _counts(s, times):
 
 def _reports(s, times):
     """find_zeros at every time: the zeros _cell_zeros finds in every row,
-    polished by Newton steps and classified together."""
+    polished by Newton steps, each of the kind its certificate proves."""
     c, shift = _evolved_rows(s, times)
     mode, margin = _certificates(c)
     _, row, u, lo, hi = _cell_zeros(c)
+    simple = lo < hi    # a pinned zero (lo = u = hi) is multiple to rounding
     # Newton steps from a cell's secant root reach its zero, |beta| <= 18 eps
     # S_0 after 7 at every zero of the 3,000 benchmark-pool candidates; a step
     # stops at the ends of the interval that holds the zero alone
     for _ in range(8):
         d = _derivatives(c[row], u, ((0, 0), (1, 0)))
         with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.where(lo < hi, np.clip(u - d[:, 0] / d[:, 1], lo, hi), u)
+            u = np.where(simple, np.clip(u - d[:, 0] / d[:, 1], lo, hi), u)
     u = np.mod(u, 2.0 * np.pi)
     order = np.lexsort((u, row))
-    row, u = row[order], u[order]
-    slope, scale = _derivatives(c[row], u, ((1, 0),))[:, 0], _sup(c)
-    growth = np.exp(shift)
-    kind = np.where(np.abs(slope) > DERIVATIVE_THRESHOLD * scale[row], "simple_cusp", "degenerate")
-    zeros = list(map(Zero, u.tolist(), (growth[row] * slope).tolist(), kind.tolist()))
+    row, u, simple = row[order], u[order], simple[order]
+    slope = np.exp(shift)[row] * _derivatives(c[row], u, ((1, 0),))[:, 0]
+    kind = np.where(simple, "simple_cusp", "degenerate")
+    zeros = list(map(Zero, u.tolist(), slope.tolist(), kind.tolist()))
     end = np.cumsum(np.bincount(row, minlength=c.shape[0])).tolist()
-    return [CuspReport(t, tuple(zeros[a:b]), size, (j, m) if m > CERTIFICATE_MARGIN else None)
-            for t, a, b, size, j, m in zip(np.asarray(times, dtype=float).tolist(), [0, *end], end,
-                                           (growth * scale).tolist(), mode.tolist(),
-                                           margin.tolist())]
+    return [CuspReport(t, tuple(zeros[a:b]), (j, m) if m > CERTIFICATE_MARGIN else None)
+            for t, a, b, j, m in zip(np.asarray(times, dtype=float).tolist(), [0, *end], end,
+                                     mode.tolist(), margin.tolist())]
 
 
 def find_zeros(s: SpectralBeta, t) -> CuspReport:
-    """All zeros of beta(., t) on [0, 2*pi), polished by Newton steps on beta
-    and classified."""
+    """All zeros of beta(., t) on [0, 2*pi), polished by Newton steps on beta,
+    each a simple_cusp or degenerate as the certificate that found it proves."""
     if t < 0:
         raise ValidationError(f"time must be >= 0, got {t}")
     return _reports(s, [t])[0]

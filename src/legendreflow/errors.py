@@ -14,8 +14,7 @@ class ValidationError(LegendreFlowError):
 
 
 class ConvexityError(ValidationError):
-    """The curve is not l-convex (some l sample <= 0, or the angle field
-    is not monotone)."""
+    """The curve is not l-convex: its angle field is not strictly increasing."""
 
 
 class GridTooCoarseError(ValidationError):

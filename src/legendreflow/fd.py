@@ -117,24 +117,22 @@ class PhiState:
 
 @dataclass
 class PhiTrajectory:
+    """min and max d_u phi and the winding residual per recorded time, and the last state."""
+
     times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
     min_gradient: list = field(default_factory=list)
     max_gradient: list = field(default_factory=list)
     winding_residual: list = field(default_factory=list)
+    final: PhiState | None = None
 
     def record(self, t, state: PhiState):
         grad = state.gradient()
         du = 2.0 * np.pi / state.num_points
         self.times.append(float(t))
-        self.states.append(state)
         self.min_gradient.append(float(np.min(grad)))
         self.max_gradient.append(float(np.max(grad)))
         self.winding_residual.append(abs(float(du * np.sum(grad)) - 2.0 * np.pi))
-
-    @property
-    def final(self) -> PhiState:
-        return self.states[-1]
+        self.final = state
 
 
 def solve_phi_fd(state0: PhiState, ell_field, final_time, grid: FDGrid,

@@ -10,7 +10,8 @@ Both steps rest on one periodic cubic spline, whose B-spline coefficients
 come from a circulant solve on the DFT of the samples: psi1 = v + (periodic
 part) is inverted by safeguarded Newton steps on the cubic Hermite with the
 spline's node slopes, limited where needed so that it stays monotone, and
-the position and normal samples are resampled at phi by their splines.
+the positions are resampled at phi by their spline.  The normals are
+(sin nu, -cos nu) by construction: Theta o phi = nu mod 2*pi.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import LegendreCurve, angle_unwrap, curvature_from_samples
-from .errors import ConvexityError, InvariantViolationError, ValidationError
+from .curves import MIN_POINTS, LegendreCurve, angle_unwrap
+from .errors import GridTooCoarseError, InvariantViolationError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -170,13 +171,16 @@ def reparametrize(curve: LegendreCurve):
     """Resample an l-convex closed curve into normal form.
 
     Returns the re-parametrized curve (X o phi, nu o phi) on the same uniform
-    grid, with nu(u) = (sin nu, -cos nu) and l == n up to interpolation and
-    finite-difference tolerance, together with the Reparametrization record.
+    grid, with nu o phi = (sin nu, -cos nu) exactly and X o phi to spline
+    interpolation, together with the Reparametrization record.
+
+    l-convexity is angle_unwrap's strictly increasing Theta: <nu_{j+-1}, mu_j>
+    = +-sin(Theta_{j+-1} - Theta_j), so a centred-difference l <= 0 needs a
+    Theta increment outside (0, pi), which angle_unwrap refuses.
     """
     curve.validate()
-    curvature = curvature_from_samples(curve)
-    if not curvature.is_l_convex:
-        raise ConvexityError("curve is not l-convex; cannot normalize")
+    if curve.grid_size < MIN_POINTS:
+        raise GridTooCoarseError(f"need at least {MIN_POINTS} samples, got {curve.grid_size}")
     angle = angle_unwrap(curve)
     n = angle.rotation_index
     theta0 = float(np.mod(angle.theta[0], 2.0 * np.pi))
@@ -189,12 +193,8 @@ def reparametrize(curve: LegendreCurve):
     shifted = np.mod(u - theta0 / n, 2.0 * np.pi)
     phi_raw = _invert_monotone(psi_nodes, shifted)
 
-    samples = _periodic_component_spline(
-        np.concatenate([curve.positions, curve.normals], axis=1))(phi_raw)
-    positions = samples[:, :2]
-    normals = samples[:, 2:] / np.linalg.norm(samples[:, 2:], axis=1, keepdims=True)
-
-    new_curve = LegendreCurve(positions=positions, normals=normals)
+    new_curve = LegendreCurve(positions=_periodic_component_spline(curve.positions)(phi_raw),
+                              normals=np.stack([np.sin(n * u), -np.cos(n * u)], axis=-1))
 
     # unwrap phi so that increments stay positive across the seam
     phi = phi_raw + 2.0 * np.pi * np.cumsum(

@@ -152,12 +152,26 @@ def companion_zeros(c):
     return np.mod(np.angle(centre), 2.0 * np.pi), np.bincount(label) > 1
 
 
+# The classification threshold of the references: a zero is simple when
+# |d_u beta| > DERIVATIVE_THRESHOLD sampled_sup, independently of the cell
+# certificate that classifies the library's zeros.
+DERIVATIVE_THRESHOLD = 1e-8
+
+
+def sampled_sup(c):
+    """sup |Re sum_k c_k e^{iku}| on a uniform grid of max(2048, 32 K) points,
+    per row of c (or of the one row c)."""
+    from legendreflow.spectral import _series
+
+    return np.max(np.abs(_series(c.T, max(2048, 32 * c.shape[-1]))), axis=0)
+
+
 def per_time_reports(s, times):
     """find_zeros time by time from each row's companion zeros, polished and
-    classified on their own (the report before its rows were stacked and
-    solved by cells): per time (t, [(u, d_u beta, kind)], scale, certificate)."""
-    from legendreflow.cusps import (CERTIFICATE_MARGIN, DERIVATIVE_THRESHOLD, _certificates,
-                                    _evolved_rows)
+    classified on their own by DERIVATIVE_THRESHOLD (the report before its
+    rows were stacked and solved by cells): per time (t, [(u, d_u beta,
+    kind)], certificate)."""
+    from legendreflow.cusps import CERTIFICATE_MARGIN, _certificates, _evolved_rows
     from legendreflow.spectral import _series
 
     c, shift = _evolved_rows(s, times)
@@ -175,12 +189,11 @@ def per_time_reports(s, times):
                 step = np.where(merged, d(1, u) / d(2, u), d(0, u) / d(1, u))
             u = np.mod(u - np.where(np.abs(step) < COMPANION_TOL, step, 0.0), 2.0 * np.pi)
         u = np.sort(u)
-        slope, scale = d(1, u), float(np.max(np.abs(_series(row, max(2048, 32 * row.shape[0])))))
+        slope, scale = d(1, u), float(sampled_sup(row))
         zeros = [(float(r), float(np.exp(h) * b),
                   "simple_cusp" if abs(b) > DERIVATIVE_THRESHOLD * scale else "degenerate")
                  for r, b in zip(u, slope)]
-        out.append((float(t), zeros, float(np.exp(h) * scale),
-                    (int(j), float(m)) if m > CERTIFICATE_MARGIN else None))
+        out.append((float(t), zeros, (int(j), float(m)) if m > CERTIFICATE_MARGIN else None))
     return out
 
 
@@ -189,8 +202,7 @@ def bisection_strict_decrease(s, series):
     one Newton solve of beta = d_u beta = 0 in (u, t) from the bracket's
     midpoint and the angle of the root pair that left the circle at its end
     (the detector before it solved for the folds directly)."""
-    from legendreflow.cusps import (EVENT_DT, DecreaseEvent, _counts, _derivatives,
-                                    _evolved_rows, _sup)
+    from legendreflow.cusps import EVENT_DT, DecreaseEvent, _counts, _derivatives, _evolved_rows
 
     def row(t):
         return _evolved_rows(s, [t])[0][0]
@@ -225,7 +237,7 @@ def bisection_strict_decrease(s, series):
             z_after = count(hi)
             wu, t_event = witness(max(lo - EVENT_DT, t_lo), hi)
             c = row(t_event)
-            wbeta, wdbeta = _derivatives(c, [wu], ((0, 0), (1, 0)))[0] / _sup(c)
+            wbeta, wdbeta = _derivatives(c, [wu], ((0, 0), (1, 0)))[0] / sampled_sup(c)
             events.append(DecreaseEvent((float(t_lo), float(t_hi)), float(t_event),
                                         int(cur_z), int(z_after), wu,
                                         float(wbeta), float(wdbeta)))

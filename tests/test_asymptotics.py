@@ -155,8 +155,8 @@ class TestFitDecayRate:
         assert report.fitted_rate is None
 
     @pytest.mark.parametrize("a0, modes, sample_sets", [
-        (1.0, {2: (0.05, 0.0)}, 1),                 # errors stay above 1e-14
-        (0.0, {2: (1.0, 0.0), 4: (0.1, 0.0)}, 2),   # underflow: the window shrinks
+        (1.0, {2: (0.05, 0.0)}, 1),                 # errors stay normal doubles
+        (0.0, {2: (1.0, 0.0), 12: (0.1, 0.0)}, 2),  # rate -140 underflows: the window shrinks
     ])
     def test_one_synthesis_per_sample_set(self, a0, modes, sample_sets, fft_calls):
         # one synthesis per sample set, where sampling time by time took 6

@@ -83,7 +83,6 @@ class TestCurvatureFromSamples:
         tol = 10.0 * du * du * max(1.0, n * n * radius)
         assert np.max(np.abs(cv.ell - n)) < tol
         assert np.max(np.abs(cv.beta - radius * n)) < tol
-        assert cv.is_l_convex
 
     def test_second_order_convergence(self):
         errs = []

@@ -15,6 +15,7 @@ from conftest import (
     no_eigensolve,
     random_closed_spectral,
     rolle_cells,
+    sampled_sup,
 )
 from legendreflow import cusps
 from legendreflow.cli import main
@@ -52,6 +53,17 @@ class TestFindZeros:
             assert min(z.location, 2 * np.pi - z.location) < 1e-6
             assert z.kind == "degenerate"
 
+    @pytest.mark.parametrize("delta, kind, slope", [
+        (1e-10, "simple_cusp", 1e-10), (0.0, "degenerate", 0.0)])
+    def test_kind_from_the_certificate(self, delta, kind, slope):
+        # beta_0 = delta sin u + sin^3 u: simple zeros of slope +-delta at 0
+        # and pi, far below any sampled threshold, or triple zeros at delta = 0
+        s = SpectralBeta.from_modes(2, modes={1: (0.0, 0.75 + delta), 3: (0.0, -0.25)})
+        report = find_zeros(s, 0.0)
+        assert [z.kind for z in report.zeros] == [kind, kind]
+        for z, sign in zip(report.zeros, (1.0, -1.0)):
+            assert abs(z.derivative - sign * slope) <= 1e-15
+
     def test_quadruple_zero_refused(self):
         # beta_0 = (1 - cos u)^2 = 3/2 - 2 cos u + cos(2u)/2 has a quadruple
         # zero at u = 0, which no derivative up to ROLLE_ORDER isolates
@@ -67,7 +79,9 @@ class TestFindZeros:
         s = random_closed_spectral(np.random.default_rng(seed))
         report = find_zeros(s, t)
         # the grid oracle cannot resolve near-tangential zeros
-        assume(all(abs(z.derivative) >= 1e-3 * report.scale for z in report.zeros))
+        c, shift = cusps._evolved_rows(s, [t])
+        scale = np.exp(shift[0]) * sampled_sup(c)[0]
+        assume(all(abs(z.derivative) >= 1e-3 * scale for z in report.zeros))
         assert report.count == grid_zero_count(s, t)
 
     def test_negative_time_rejected(self):
@@ -207,12 +221,10 @@ class TestStackedSolve:
             sign = 1.0 if kind == "double zeros" else -1.0
             draws = [SpectralBeta.from_modes(1, a0=1.0, modes={2: (sign, 0.0)})]
         for s in draws:
-            for report, (t, zeros, scale, certificate) in zip(cusps._reports(s, times),
-                                                               per_time_reports(s, times),
-                                                               strict=True):
+            for report, (t, zeros, certificate) in zip(cusps._reports(s, times),
+                                                        per_time_reports(s, times), strict=True):
                 assert (report.t, report.certificate) == (t, certificate)
                 assert [z.kind for z in report.zeros] == [kind for _, _, kind in zeros]
-                assert report.scale == pytest.approx(scale, rel=1e-12, abs=0.0)
                 for z, (u, slope, _) in zip(report.zeros, zeros):
                     assert abs(z.location - u) <= 1e-12
                     assert abs(z.derivative - slope) <= 1e-12 * max(1.0, abs(slope))

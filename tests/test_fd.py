@@ -116,6 +116,13 @@ class TestSolveBetaFD:
             solve_beta_fd(np.ones(32), 1, 0.1, grid)
 
 
+def _assert_same_trajectory(traj, ref):
+    """Bitwise the same summary at every recorded time and the same last state."""
+    for name in ("times", "min_gradient", "max_gradient", "winding_residual"):
+        assert getattr(traj, name) == getattr(ref, name)
+    assert np.array_equal(traj.final.periodic_part, ref.final.periodic_part)
+
+
 class TestSolvePhiFD:
     def test_identity_is_a_fixed_point(self):
         num = 128
@@ -139,6 +146,19 @@ class TestSolvePhiFD:
         dev_late = max(abs(longer.max_gradient[-1] - 1.0),
                        abs(1.0 - longer.min_gradient[-1]))
         assert dev_late < 1e-3
+
+    @pytest.mark.parametrize("final_time", [1e-3, 0.05])
+    def test_trajectory_holds_one_state(self, final_time):
+        # 2 or 51 records: the summaries grow, the last state is all that is kept
+        num = 64
+        u = uniform_grid(num)
+        state0 = PhiState.from_phi(u + 0.2 * np.sin(u))
+        traj = solve_phi_fd(state0, lambda v, t: np.ones_like(v), final_time,
+                            FDGrid(num_points=num, dt=1e-4, scheme="explicit_euler"))
+        assert len(traj.times) == round(final_time / 1e-4) // 10 + 1
+        fields = vars(traj).values()
+        assert [type(v) for v in fields if not isinstance(v, list)] == [PhiState]
+        assert all(type(x) is float for v in fields if isinstance(v, list) for x in v)
 
     def test_winding_conserved(self):
         num = 128
@@ -173,9 +193,7 @@ class TestSolvePhiFD:
         traj = solve_phi_fd(state0, ell, 0.1, grid, forcing=forcing, record_every=7)
         ref, halvings = roll_phi_fd(state0, ell, 0.1, grid, forcing=forcing, record_every=7)
         assert halvings == 0
-        assert traj.times == ref.times
-        for state, want in zip(traj.states, ref.states, strict=True):
-            assert np.array_equal(state.periodic_part, want.periodic_part)
+        _assert_same_trajectory(traj, ref)
 
     def test_bitwise_equal_through_step_halving(self):
         # a strong forcing until t = 0.1 pulls min d_u phi down to about 0.26;
@@ -189,9 +207,7 @@ class TestSolvePhiFD:
         traj = solve_phi_fd(state0, ell, 0.5, grid, forcing=forcing)
         ref, halvings = roll_phi_fd(state0, ell, 0.5, grid, forcing=forcing)
         assert halvings == 4
-        assert traj.times == ref.times
-        for state, want in zip(traj.states, ref.states, strict=True):
-            assert np.array_equal(state.periodic_part, want.periodic_part)
+        _assert_same_trajectory(traj, ref)
         # forced until t = 0.2, the gradient bound is lost after 10 halvings
         longer = lambda v, t: 5.0 * np.sin(v) if t < 0.2 else np.zeros_like(v)
         with pytest.raises(LegendreFlowError, match="10 step halvings"):

@@ -10,7 +10,7 @@ from legendreflow.curves import (
     curvature_from_samples,
     uniform_grid,
 )
-from legendreflow.errors import ConvexityError
+from legendreflow.errors import ConvexityError, GridTooCoarseError
 from legendreflow.reparam import (
     Reparametrization,
     _invert_monotone,
@@ -174,3 +174,14 @@ class TestReparametrize:
         curve = LegendreCurve(positions=nu, normals=nu)
         with pytest.raises(ConvexityError):
             reparametrize(curve)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_normals_in_normal_form(self, n):
+        # Theta o phi = nu mod 2*pi by construction, so the normals are exact
+        out, _ = reparametrize(warped_circle(256, amplitude=0.3, n=n))
+        nu = n * uniform_grid(256)
+        assert np.array_equal(out.normals, np.stack([np.sin(nu), -np.cos(nu)], axis=-1))
+
+    def test_seven_samples_refused(self):
+        with pytest.raises(GridTooCoarseError):
+            reparametrize(warped_circle(7, amplitude=0.0))
