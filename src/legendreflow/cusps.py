@@ -63,8 +63,9 @@ z by at least 2 (Angenent, J. reine angew. Math. 390, 1988), so when the
 interval holds (z_lo - z_hi)/2 distinct ones there is no other, each drops z
 by exactly 2, and the counts between them are known without a solve.
 Newton's method on F = (beta, d_u beta) = 0 in (u, t) finds the folds, from
-the midpoints between adjacent zeros at t_lo, taken at t_lo, (t_lo + t_hi)/2
-and t_hi, and the Newton-Kantorovich test proves each in the box
+the midpoints between adjacent zeros at t_lo (those of the cell sweep that
+counted the series, _swept), taken at t_lo, (t_lo + t_hi)/2 and t_hi, and
+the Newton-Kantorovich test proves each in the box
 B = [u0 - r, u0 + r] x [t0 - r, t0 + r] of the max norm: with J the Jacobian
 at the centre x0 and A its inverse, Y = |A|(|F(x0)| + rounding) bounds the
 Newton step, Z0 = |I - AJ| + |A| (rounding of J), and Z2 = |A| L with L
@@ -73,10 +74,11 @@ bounding the derivatives of J on the box by S_pq = sum_k k^p |lambda_k|^q
 an r <= FOLD_BOX, x -> x - A F(x) maps B into itself as a contraction, so B
 holds a zero of F.  A fold is certified when B also lies inside the interval
 and keeps |beta_uu| above 0, and the boxes of an interval are pairwise
-disjoint, so their folds are distinct.  Folds less than EVENT_DT apart in t
-are one event.  A drop its certified folds do not account for (a fold no
-start reaches, or a degenerate one such as three zeros merging) is bracketed
-by bisection in t instead.
+disjoint, so their folds are distinct.  Folds whose certified t-ranges [t0 -
+r, t0 + r] overlap are one event, and the box's F(x0) is its witness.  A
+drop its certified folds do not account for (a fold no start reaches, or a
+degenerate one such as three zeros merging) is bracketed by bisection in t
+to EVENT_DT instead.
 """
 
 from __future__ import annotations
@@ -89,8 +91,7 @@ from .errors import InvariantViolationError, ValidationError
 from .spectral import SpectralBeta, _series
 
 NEGLIGIBLE_MODE = 1e-14         # relative: smaller evolved modes are dropped
-# Folds closer than this in t are one event; the bisection fallback brackets
-# each event to it.
+# The width in t to which the bisection fallback brackets each event.
 EVENT_DT = 1e-6
 # The dominant-mode certificate settles z(t) when its margin exceeds this,
 # which covers rounding and the modes below NEGLIGIBLE_MODE.
@@ -165,14 +166,20 @@ def _evolved_rows(s: SpectralBeta, times):
     return c, shift
 
 
-def _derivatives(c, u, orders, lam=None):
-    """Columns d_u^p d_t^q beta(u_i) = Re sum_k c_ik (ik)^p lambda_k^q e^{iku_i}, (p, q)
-    in orders, for one coefficient row c or a row c_i per point u_i; each point
-    is one product of its own row with the weights, free of the others."""
-    k = np.arange(c.shape[-1])
+def _weights(size, orders, lam=None):
+    """The derivative weights (ik)^p lambda_k^q, k < size, one column per (p,
+    q) in orders (lambda_k^q taken as 1 without lam)."""
+    k = np.arange(size)
     p, q = np.array(orders).T
-    weights = (1j * k)[:, None] ** p * (1.0 if lam is None else lam[:, None] ** q)
-    terms = c * np.exp(1j * np.multiply.outer(np.asarray(u, dtype=float), k))
+    return (1j * k)[:, None] ** p * (1.0 if lam is None else lam[:, None] ** q)
+
+
+def _derivatives(c, u, weights):
+    """Columns Re sum_k c_ik w_k e^{iku_i}, one per column w of the weights
+    (d_u^p d_t^q beta(u_i) for _weights' orders), for one coefficient row c or
+    a row c_i per point u_i; each point is one product of its own row with the
+    weights, free of the others."""
+    terms = c * np.exp(1j * np.multiply.outer(np.asarray(u, dtype=float), np.arange(c.shape[-1])))
     return np.real(terms[..., None, :] @ weights)[..., 0, :]
 
 
@@ -214,9 +221,9 @@ def _cell_zeros(c):
     k = np.arange(size)
     bound = np.abs(c) @ (k[:, None] ** np.arange(ROLLE_ORDER + 3))
     near = 64.0 * np.finfo(float).eps * bound
-    weights = c[:, :, None] * (1j * k)[:, None] ** np.arange(3)    # beta, d_u, d_u^2
+    weights = _weights(size, ((0, 0), (1, 0), (2, 0)))    # beta, d_u, d_u^2
     num = max(CELL_GRID, 4 * size)
-    f = _series(weights.transpose(1, 0, 2).reshape(size, -1), num)
+    f = _series((c[:, :, None] * weights).transpose(1, 0, 2).reshape(size, -1), num)
     fa = f.reshape(num, c.shape[0], 3).transpose(1, 0, 2)
     fb = np.roll(fa, -1, axis=1).reshape(-1, 3)
     fa = fa.reshape(-1, 3)
@@ -237,7 +244,7 @@ def _cell_zeros(c):
             break
         h *= 0.5
         mid = lo + h
-        fm = _derivatives(c[row], mid, ((0, 0), (1, 0), (2, 0)))
+        fm = _derivatives(c[row], mid, weights)
         row, lo = np.concatenate([row, row]), np.concatenate([lo, mid])
         fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
     if row.shape[0]:    # most calls leave no cell, and cusp_tracking counts every call
@@ -251,7 +258,8 @@ def _rolle(c, row, lo, h, fa, fb, bound, near):
     leave (fa, fb: beta, d_u beta and d_u^2 beta at their ends), by the Rolle
     step of the module docstring."""
     orders = [(p, 0) for p in range(ROLLE_ORDER + 2)]
-    fl, fr = (np.c_[f, _derivatives(c[row], x, orders[3:])] for f, x in ((fa, lo), (fb, lo + h)))
+    weights, high = _weights(c.shape[1], orders), _weights(c.shape[1], orders[3:])
+    fl, fr = (np.c_[f, _derivatives(c[row], x, high)] for f, x in ((fa, lo), (fb, lo + h)))
     order = np.zeros(row.shape, dtype=int)
     for p in range(ROLLE_ORDER, 1, -1):     # the lowest order that clears wins
         order[_clear(fl[:, p], fr[:, p], fl[:, p + 1], fr[:, p + 1], h, bound[row, p + 2],
@@ -265,7 +273,7 @@ def _rolle(c, row, lo, h, fa, fb, bound, near):
         i = np.flatnonzero((order > j) & ((fl[:, j] < 0.0) != (fr[:, j] < 0.0))
                            & (np.minimum(np.abs(fl[:, j]), np.abs(fr[:, j])) > near[row, j]))
         x = _root(c[row[i]], j, left[i], right[i], fl[i, j], fr[i, j])
-        fx = _derivatives(c[row[i]], x, orders)
+        fx = _derivatives(c[row[i]], x, weights)
         row, order, left, fl = np.r_[row, row[i]], np.r_[order, order[i]], np.r_[left, x], \
             np.r_[fl, fx]
         right, fr = np.r_[right, right[i]], np.r_[fr, fr[i]]
@@ -285,8 +293,9 @@ def _root(c, order, left, right, fl, fr):
     piece: Newton steps from the secant root, each kept inside the bracket of
     the sign change or else replaced by the bracket's midpoint."""
     x = left + (right - left) * fl / (fl - fr)
+    weights = _weights(c.shape[1], ((order, 0), (order + 1, 0)))
     for _ in range(NEWTON_STEPS):
-        f, slope = _derivatives(c, x, ((order, 0), (order + 1, 0))).T
+        f, slope = _derivatives(c, x, weights).T
         below = (f < 0.0) == (fl < 0.0)
         left, right = np.where(below, x, left), np.where(below, right, x)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -295,15 +304,49 @@ def _root(c, order, left, right, fl, fr):
     return x
 
 
+# The last cell sweep of a series, (s, times, swept, row, u): the zeros u
+# _cell_zeros found in the rows times[swept] of s, row counting in swept.
+# detect_strict_decrease takes its Newton starts from it (_swept); holding s
+# keeps its id from being reused.
+_sweep = None
+
+
+def _store(s, times, swept, row, u):
+    global _sweep
+    _sweep = (s, np.array(times, dtype=float), swept, row, u)
+
+
+def _swept(s, times, rows):
+    """(row, u): the zeros _cell_zeros finds in the rows of s at times[rows],
+    row counting in rows, from the last sweep when it covered them at these
+    exact times, else from a new sweep."""
+    last = _sweep
+    if (last is not None and last[0] is s and np.array_equal(last[1], times)
+            and set(rows.tolist()) <= set(last[2].tolist())):
+        _, _, swept, row, u = last
+        index = np.full(swept.shape, -1)
+        index[np.searchsorted(swept, rows)] = np.arange(rows.shape[0])
+        keep = index[row] >= 0
+        return index[row[keep]], u[keep]
+    return _cell_zeros(_evolved_rows(s, times[rows])[0])[1:3]
+
+
 def _counts(s, times):
     """z(t) at every time: 2j where the certificate of mode j holds, else the
-    number of zeros _cell_zeros finds."""
+    number of zeros _cell_zeros finds.  The sweep also takes the certified
+    rows a drop may start at (the next row open or certified lower), so that
+    detect_strict_decrease finds every drop's first row in it."""
     c, _ = _evolved_rows(s, times)
     mode, margin = _certificates(c)
     counts = 2 * mode
-    open_ = np.flatnonzero(margin <= CERTIFICATE_MARGIN)
-    if open_.size:
-        counts[open_] = _cell_zeros(c[open_])[0]
+    open_ = margin <= CERTIFICATE_MARGIN
+    start = np.zeros_like(open_)
+    start[:-1] = open_[1:] | (counts[1:] < counts[:-1])
+    swept = np.flatnonzero(open_ | start)
+    if swept.size:
+        z, row, u = _cell_zeros(c[swept])[:3]
+        counts[open_] = z[open_[swept]]
+        _store(s, times, swept, row, u)
     return counts.tolist()
 
 
@@ -313,18 +356,20 @@ def _reports(s, times):
     c, shift = _evolved_rows(s, times)
     mode, margin = _certificates(c)
     _, row, u, lo, hi = _cell_zeros(c)
+    _store(s, times, np.arange(c.shape[0]), row, u)
     simple = lo < hi    # a pinned zero (lo = u = hi) is multiple to rounding
     # Newton steps from a cell's secant root reach its zero, |beta| <= 18 eps
     # S_0 after 7 at every zero of the 3,000 benchmark-pool candidates; a step
     # stops at the ends of the interval that holds the zero alone
+    weights = _weights(c.shape[1], ((0, 0), (1, 0)))
     for _ in range(8):
-        d = _derivatives(c[row], u, ((0, 0), (1, 0)))
+        d = _derivatives(c[row], u, weights)
         with np.errstate(divide="ignore", invalid="ignore"):
             u = np.where(simple, np.clip(u - d[:, 0] / d[:, 1], lo, hi), u)
     u = np.mod(u, 2.0 * np.pi)
     order = np.lexsort((u, row))
     row, u, simple = row[order], u[order], simple[order]
-    slope = np.exp(shift)[row] * _derivatives(c[row], u, ((1, 0),))[:, 0]
+    slope = np.exp(shift)[row] * _derivatives(c[row], u, _weights(c.shape[1], ((1, 0),)))[:, 0]
     kind = np.where(simple, "simple_cusp", "degenerate")
     zeros = list(map(Zero, u.tolist(), slope.tolist(), kind.tolist()))
     end = np.cumsum(np.bincount(row, minlength=c.shape[0])).tolist()
@@ -377,15 +422,17 @@ def _jets(s, orders):
     """jet(u, t) -> (columns d_u^p d_t^q beta(u_i, t_i) / S_0(t_i) for (p, q) in
     orders, w): every (u_i, t_i) at once, w_i the coefficients c_k e^{lambda_k
     t_i} / S_0(t_i) with S_0(t) = sum_k |c_k| e^{lambda_k t}, which bounds
-    |beta(., t)|; the largest growth factor is divided out first."""
+    |beta(., t)|; the largest growth factor is divided out first.  The
+    weights are built once, for every call of jet."""
     c0, lam = s.cos_coeffs - 1j * s.sin_coeffs, s.eigenvalues()
     live = c0 != 0.0
+    weights = _weights(lam.shape[0], orders, lam)
 
     def jet(u, t):
         rate = np.where(live, np.multiply.outer(t, lam), -np.inf)
         w = c0 * np.exp(rate - rate.max(axis=1, keepdims=True))
         w /= np.abs(w).sum(axis=1, keepdims=True)
-        return _derivatives(w, u, orders, lam), w
+        return _derivatives(w, u, weights), w
 
     return jet
 
@@ -408,25 +455,37 @@ def _newton(s, u, t, lo, hi, pairs, group):
     lo_i, hi_i = lo[group], hi[group]
     best, fold_u, fold_t = np.full(u.shape, np.inf), u, t
     polish = np.zeros(u.shape, dtype=bool)
+
+    distinct = None     # _distinct of the folds as they stand, once it is needed
+
+    def enough(i):  # as many of the starts i in every interval as it loses pairs
+        return np.all(np.bincount(group[i], minlength=pairs.shape[0]) >= pairs)
+
     with np.errstate(all="ignore"):
         for _ in range(NEWTON_STEPS):
             b, bt, bu, btu, buu = jet(u, t)[0].T
             residual = np.abs(b) + np.abs(bu)
             better = polish & (lo_i < t) & (t < hi_i) & (residual < best)
-            best = np.where(better, residual, best)
-            fold_u, fold_t = np.where(better, u, fold_u), np.where(better, t, fold_t)
+            if better.any():
+                best = np.where(better, residual, best)
+                fold_u, fold_t = np.where(better, u, fold_u), np.where(better, t, fold_t)
+                distinct = None
             found = best < np.inf
-            if np.all(found | polish | ~np.isfinite(u + t)) or (
-                    np.count_nonzero(found) >= pairs.sum() and np.all(np.bincount(
-                        group[_distinct(fold_u, fold_t, best, group, hi)],
-                        minlength=pairs.shape[0]) >= pairs)):
+            if np.all(found | polish | ~np.isfinite(u + t)):
                 break
+            if enough(found):   # the distinct folds are some of the found ones
+                if distinct is None:
+                    distinct = _distinct(fold_u, fold_t, best, group, hi)
+                if enough(distinct):
+                    break
             det = bu * btu - bt * buu
             du, dt = (bt * bu - b * btu) / det, (b * buu - bu * bu) / det
             u, t = u + du, t + dt
             polish = (np.abs(du) < 1e-13) & (np.abs(dt) < 1e-13 * np.maximum(1.0, np.abs(t)))
+    if distinct is None:
+        distinct = _distinct(fold_u, fold_t, best, group, hi)
     folds = [[] for _ in pairs]
-    for i in _distinct(fold_u, fold_t, best, group, hi):
+    for i in distinct:
         folds[group[i]].append((float(np.mod(fold_u[i], 2.0 * np.pi)), float(fold_t[i]),
                                 float(best[i])))
     return folds
@@ -462,10 +521,11 @@ def _folds(s, lo, hi, pairs, starts):
 
 
 def _fold_boxes(s, u, t, lo, hi):
-    """Per fold (u, t) the radius r of a box [u - r, u + r] x [t - r, t + r]
-    inside lo < t < hi that holds a degenerate zero with d_u^2 beta != 0 on
-    all of it, by the Newton-Kantorovich test in the module docstring; nan
-    where the test fails."""
+    """(r, witness): per fold (u, t) the radius r of a box [u - r, u + r] x
+    [t - r, t + r] inside lo < t < hi that holds a degenerate zero with d_u^2
+    beta != 0 on all of it, by the Newton-Kantorovich test in the module
+    docstring, nan where the test fails; and the columns beta and d_u beta
+    over S_0 at (u, t)."""
     values, w = _jets(s, ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1)))(u, t)
     b, bu, bt, buu, but = values.T
     lam = np.abs(s.eigenvalues())
@@ -480,38 +540,44 @@ def _fold_boxes(s, u, t, lo, hi):
     slack = 16.0 * np.finfo(float).eps * (2.0 + 2.0 * np.pi * k[-1] + 2.0 * lam.max() * t)
     e00, e10, e01, e20, e11 = slack * (mag @ np.stack(
         [np.ones_like(lam), k, lam, k * k, k * lam], 1)).T
-
-    def matrix(a, b, c, d):
-        return np.stack([np.stack([a, b], -1), np.stack([c, d], -1)], -2)
-
     with np.errstate(all="ignore"):
-        inverse = matrix(but, -bt, -buu, bu) / (bu * but - bt * buu)[:, None, None]
-        size = np.abs(inverse)
-        y0 = (size @ np.stack([np.abs(b) + e00, np.abs(bu) + e10], -1)[..., None])[..., 0]
-        z0 = np.abs(np.eye(2) - inverse @ matrix(bu, bt, buu, but)) \
-            + size @ matrix(e10, e01, e20, e11)
-        z2 = size @ matrix(s20 + s11, s11 + s02, s30 + s21, s21 + s12)
-        y0, gap, z2 = y0.max(-1), 1.0 - z0.sum(-1).max(-1), z2.sum(-1).max(-1)
+        # row by row of A = J^-1, J = [[bu, bt], [buu, but]] and I: Y = |A| (|F|
+        # + rounding), and the row sums of Z0 = |I - AJ| + |A| (rounding of J)
+        # and of Z2 = |A| L, L = [[s20 + s11, s11 + s02], [s30 + s21, s21 + s12]]
+        det = bu * but - bt * buu
+        y0 = z0 = z2 = -np.inf
+        for (p, q), (one, zero) in (((but / det, -bt / det), (1.0, 0.0)),
+                                    ((-buu / det, bu / det), (0.0, 1.0))):
+            ap, aq = np.abs(p), np.abs(q)
+            y0 = np.maximum(y0, ap * (np.abs(b) + e00) + aq * (np.abs(bu) + e10))
+            z0 = np.maximum(z0, (np.abs(one - (p * bu + q * buu)) + (ap * e10 + aq * e20))
+                            + (np.abs(zero - (p * bt + q * but)) + (ap * e01 + aq * e11)))
+            z2 = np.maximum(z2, (ap * (s20 + s11) + aq * (s30 + s21))
+                            + (ap * (s11 + s02) + aq * (s21 + s12)))
+        gap = 1.0 - z0
         r = 2.0 * y0 / (gap + np.sqrt(gap * gap - 4.0 * z2 * y0))
         ok = ((gap > 0.0) & (r <= FOLD_BOX) & (lo < t - r) & (t + r < hi)
               & (np.abs(buu) - e20 - (s30 + s21) * r > 0.0))
-    return np.where(ok, r, np.nan)
+    return np.where(ok, r, np.nan), values[:, :2]
 
 
 def _accounted(s, lo, hi, pairs, folds):
-    """Per interval the box radii of its folds when they are as many
-    certified folds in pairwise disjoint boxes as it loses pairs, which
-    accounts for every fold in it (see the module docstring); else None."""
+    """Per interval the box radii and witnesses of its folds (_fold_boxes)
+    when they are as many certified folds in pairwise disjoint boxes as it
+    loses pairs, which accounts for every fold in it (see the module
+    docstring); else None."""
     size = np.array([len(f) for f in folds])
     group = np.repeat(np.arange(size.shape[0]), size)
     u, t = (np.array([fold[j] for f in folds for fold in f]) for j in (0, 1))
-    r = _fold_boxes(s, u, t, lo[group], hi[group])
+    r, witness = _fold_boxes(s, u, t, lo[group], hi[group])
     meet = (group[:, None] == group) & (np.maximum(_gaps(u), np.abs(t[:, None] - t))
                                         <= r[:, None] + r)
     np.fill_diagonal(meet, False)
     refused = np.bincount(group[np.isnan(r) | meet.any(axis=1)], minlength=size.shape[0])
-    return [radii if n == p and not bad else None
-            for radii, n, p, bad in zip(np.split(r, np.cumsum(size)[:-1]), size, pairs, refused)]
+    split = np.cumsum(size)[:-1]
+    return [(radii, w) if n == p and not bad else None
+            for radii, w, n, p, bad in zip(np.split(r, split), np.split(witness, split), size,
+                                           pairs, refused)]
 
 
 def _gaps(u):
@@ -520,43 +586,29 @@ def _gaps(u):
 
 
 def _groups(folds):
-    """The folds in time order as lists of folds less than EVENT_DT apart in
-    t: each list is one event."""
+    """The folds (u, t, residual, r, ...) in time order as lists joined where
+    their certified t-ranges [t - r, t + r] overlap: each list is one event."""
     groups = []
     for fold in folds:
-        if groups and fold[1] - groups[-1][-1][1] < EVENT_DT:
-            groups[-1].append(fold)
-        else:
-            groups.append([fold])
+        joined = [fold]
+        while groups and max(f[1] + f[3] for f in groups[-1]) >= fold[1] - fold[3]:
+            joined = groups.pop() + joined
+        groups.append(joined)
     return groups
 
 
-def _events(s, raw):
-    """DecreaseEvents from (interval, t_event, before, after, u, certificate),
-    the witnesses beta and d_u beta over S_0 evaluated in one call."""
-    if not raw:
-        return []
-    u, t = np.array([e[4] for e in raw]), np.array([e[1] for e in raw])
-    with np.errstate(all="ignore"):
-        witness = _jets(s, ((0, 0), (1, 0)))(u, t)[0]
-    return [DecreaseEvent((float(lo), float(hi)), float(t_event), int(before), int(after),
-                          float(wu), float(wbeta), float(wdbeta), certificate)
-            for ((lo, hi), t_event, before, after, wu, certificate), (wbeta, wdbeta)
-            in zip(raw, witness)]
-
-
-def _starts(s, lo):
+def _starts(row, zeros, size):
     """Newton start angles per drop interval: the midpoints between adjacent
-    zeros at lo, which _cell_zeros finds."""
-    row, zeros = _cell_zeros(_evolved_rows(s, lo)[0])[1:3]
+    zeros at its start, the zeros (row, u) that _cell_zeros found in the
+    size intervals' first rows."""
     order = np.lexsort((zeros, row))
     row, zeros = row[order], zeros[order]
-    size = np.bincount(row, minlength=lo.shape[0])
+    count = np.bincount(row, minlength=size)
     # each zero's next one in its row, the last one's the first one
     last = np.r_[row[1:] != row[:-1], True]
-    following = np.where(last, zeros[(np.cumsum(size) - size)[row]] + 2.0 * np.pi,
+    following = np.where(last, zeros[(np.cumsum(count) - count)[row]] + 2.0 * np.pi,
                          np.r_[zeros[1:], 0.0])
-    return np.split(0.5 * (zeros + following), np.cumsum(size)[:-1])
+    return np.split(0.5 * (zeros + following), np.cumsum(count)[:-1])
 
 
 def _bisect(s, t_lo, z_lo, t_hi, z_hi):
@@ -575,45 +627,55 @@ def _bisect(s, t_lo, z_lo, t_hi, z_hi):
         # the fold lies in (lo, hi] to rounding; one before cur_t belongs to
         # an event already reported
         lo = max(lo - EVENT_DT, cur_t)
-        zeros = _cell_zeros(_evolved_rows(s, [lo])[0])[2]  # three merge at the middle one
-        start = np.r_[zeros, _starts(s, np.array([lo]))[0]]
+        row, zeros = _cell_zeros(_evolved_rows(s, [lo])[0])[1:3]
+        start = np.r_[zeros, _starts(row, zeros, 1)[0]]     # three merge at the middle one
         [fold] = _newton(s, start, np.full(start.shape, 0.5 * (lo + hi)), np.array([lo]),
                          np.array([hi]), np.array([1]), np.zeros(start.shape, dtype=int))
         wu, t_event = fold[0][:2] if fold else (float(start[0]), 0.5 * (lo + hi))
-        events.append(((t_lo, t_hi), t_event, cur_z, z_after, wu, ("bisection",)))
+        events.append(((t_lo, t_hi), t_event, cur_z, z_after, wu))
         cur_t, cur_z = hi, z_after
-    return events
+    with np.errstate(all="ignore"):
+        witness = _jets(s, ((0, 0), (1, 0)))(np.array([e[4] for e in events]),
+                                              np.array([e[1] for e in events]))[0]
+    return [(*event, w, ("bisection",)) for event, w in zip(events, witness)]
 
 
 def detect_strict_decrease(s: SpectralBeta, series):
     """Locate and certify every strict decrease in a zero-count series.
 
     In each drop interval the folds, the degenerate zeros where a zero pair
-    is lost, are solved for by Newton's method (_folds), and folds less than
-    EVENT_DT apart make one event, whose last fold is the witness and whose
-    time t_event.  When the interval holds one certified fold per lost pair
-    (_accounted), each fold drops the count by 2.  A drop they do not account
-    for is bracketed by bisection in t instead (_bisect).
+    is lost, are solved for by Newton's method (_folds) from the zeros at
+    its start, which the series' own cell sweep found (_swept).  When the
+    interval holds one certified fold per lost pair (_accounted), each fold
+    drops the count by 2, and folds whose certified t-ranges overlap make
+    one event, whose last fold is the witness and whose time t_event; the
+    witness beta and d_u beta over S_0 are those of its box.  A drop they do
+    not account for is bracketed by bisection in t instead (_bisect).
     """
-    drops = [(t_lo, z_lo, t_hi, z_hi)
-             for (t_lo, z_lo), (t_hi, z_hi) in zip(series, series[1:]) if z_hi < z_lo]
-    if not drops:
+    first = [i for i in range(len(series) - 1) if series[i + 1][1] < series[i][1]]
+    if not first:
         return []
+    drops = [(*series[i], *series[i + 1]) for i in first]
     lo, z_lo, hi, z_hi = (np.array(column) for column in zip(*drops))
     pairs = (z_lo - z_hi) // 2
-    folds = _folds(s, lo, hi, pairs, _starts(s, lo)) or [[] for _ in drops]
+    times = np.array([t for t, _ in series], dtype=float)
+    starts = _starts(*_swept(s, times, np.array(first)), len(first))
+    folds = _folds(s, lo, hi, pairs, starts) or [[] for _ in drops]
     raw = []
-    for drop, found, radius in zip(drops, folds, _accounted(s, lo, hi, pairs, folds)):
-        if radius is None:
+    for drop, found, box in zip(drops, folds, _accounted(s, lo, hi, pairs, folds)):
+        if box is None:
             raw += _bisect(s, *drop)
             continue
         t_lo, z, t_hi, _ = drop
-        for group in _groups([fold + (r,) for fold, r in zip(found, radius.tolist())]):
-            u, t = group[-1][:2]
+        radius, witness = (x.tolist() for x in box)
+        for group in _groups([fold + (r, w) for fold, r, w in zip(found, radius, witness)]):
+            u, t, _, _, w = group[-1]
             certificate = ("fold", max(f[3] for f in group), max(f[2] for f in group))
-            raw.append(((t_lo, t_hi), t, z, z - 2 * len(group), u, certificate))
+            raw.append(((t_lo, t_hi), t, z, z - 2 * len(group), u, w, certificate))
             z -= 2 * len(group)
-    return _events(s, raw)
+    return [DecreaseEvent((float(t_lo), float(t_hi)), float(t_event), int(before), int(after),
+                          float(u), float(wbeta), float(wdbeta), certificate)
+            for (t_lo, t_hi), t_event, before, after, u, (wbeta, wdbeta), certificate in raw]
 
 
 def __getattr__(name):

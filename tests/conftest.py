@@ -197,18 +197,26 @@ def per_time_reports(s, times):
     return out
 
 
+#: The bracket width of the bisection reference, kept apart from the
+#: library's own EVENT_DT.
+EVENT_DT = 1e-6
+
+
 def bisection_strict_decrease(s, series):
     """detect_strict_decrease with every drop bisected in t to EVENT_DT, then
     one Newton solve of beta = d_u beta = 0 in (u, t) from the bracket's
     midpoint and the angle of the root pair that left the circle at its end
     (the detector before it solved for the folds directly)."""
-    from legendreflow.cusps import EVENT_DT, DecreaseEvent, _counts, _derivatives, _evolved_rows
+    from legendreflow.cusps import DecreaseEvent, _counts, _derivatives, _evolved_rows, _weights
 
     def row(t):
         return _evolved_rows(s, [t])[0][0]
 
     def count(t):
         return _counts(s, [t])[0]
+
+    size = s.truncation + 1
+    jacobian = _weights(size, ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0)), s.eigenvalues())
 
     def witness(lo, hi):
         roots = companion_roots(row(hi))
@@ -217,8 +225,7 @@ def bisection_strict_decrease(s, series):
         u, t = start, 0.5 * (lo + hi)
         with np.errstate(all="ignore"):
             for _ in range(12):
-                b, bt, bu, btu, buu = _derivatives(
-                    row(t), [u], ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0)), s.eigenvalues())[0]
+                b, bt, bu, btu, buu = _derivatives(row(t), [u], jacobian)[0]
                 det = bu * btu - bt * buu
                 du, dt = (bt * bu - b * btu) / det, (b * buu - bu * bu) / det
                 u, t = u + du, t + dt
@@ -237,12 +244,47 @@ def bisection_strict_decrease(s, series):
             z_after = count(hi)
             wu, t_event = witness(max(lo - EVENT_DT, t_lo), hi)
             c = row(t_event)
-            wbeta, wdbeta = _derivatives(c, [wu], ((0, 0), (1, 0)))[0] / sampled_sup(c)
+            wbeta, wdbeta = _derivatives(c, [wu], _weights(size, ((0, 0), (1, 0))))[0] \
+                / sampled_sup(c)
             events.append(DecreaseEvent((float(t_lo), float(t_hi)), float(t_event),
                                         int(cur_z), int(z_after), wu,
                                         float(wbeta), float(wdbeta)))
             cur_t, cur_z = hi, z_after
     return events
+
+
+def matrix_fold_boxes(s, u, t, lo, hi):
+    """cusps._fold_boxes' radii with its Newton-Kantorovich test in matrix
+    form, on stacks of 2 x 2 matrices (the certificate before it was written
+    out row by row): nan where the test fails."""
+    from legendreflow.cusps import FOLD_BOX, _jets
+
+    values, w = _jets(s, ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1)))(u, t)
+    b, bu, bt, buu, but = values.T
+    lam = np.abs(s.eigenvalues())
+    k = np.arange(lam.shape[0])
+    mag = np.abs(w)
+    s20, s11, s02, s30, s21, s12 = ((mag * np.exp(lam * FOLD_BOX)) @ np.stack(
+        [k * k, k * lam, lam * lam, k ** 3, k * k * lam, k * lam * lam], 1)).T
+    slack = 16.0 * np.finfo(float).eps * (2.0 + 2.0 * np.pi * k[-1] + 2.0 * lam.max() * t)
+    e00, e10, e01, e20, e11 = slack * (mag @ np.stack(
+        [np.ones_like(lam), k, lam, k * k, k * lam], 1)).T
+
+    def matrix(a, b, c, d):
+        return np.stack([np.stack([a, b], -1), np.stack([c, d], -1)], -2)
+
+    with np.errstate(all="ignore"):
+        inverse = matrix(but, -bt, -buu, bu) / (bu * but - bt * buu)[:, None, None]
+        size = np.abs(inverse)
+        y0 = (size @ np.stack([np.abs(b) + e00, np.abs(bu) + e10], -1)[..., None])[..., 0]
+        z0 = np.abs(np.eye(2) - inverse @ matrix(bu, bt, buu, but)) \
+            + size @ matrix(e10, e01, e20, e11)
+        z2 = size @ matrix(s20 + s11, s11 + s02, s30 + s21, s21 + s12)
+        y0, gap, z2 = y0.max(-1), 1.0 - z0.sum(-1).max(-1), z2.sum(-1).max(-1)
+        r = 2.0 * y0 / (gap + np.sqrt(gap * gap - 4.0 * z2 * y0))
+        ok = ((gap > 0.0) & (r <= FOLD_BOX) & (lo < t - r) & (t + r < hi)
+              & (np.abs(buu) - e20 - (s30 + s21) * r > 0.0))
+    return np.where(ok, r, np.nan)
 
 
 @contextlib.contextmanager

@@ -12,6 +12,7 @@ from conftest import (
     companion_zeros,
     degenerate_zero_near,
     grid_zero_count,
+    matrix_fold_boxes,
     no_eigensolve,
     random_closed_spectral,
     rolle_cells,
@@ -174,7 +175,7 @@ class TestStackedSolve:
         u = np.array([z.location for z in report.zeros])
         offset = (u - np.pi / 2 * np.array([1, 1, 3, 3])) * np.array([-1, 1, -1, 1])
         assert np.allclose(offset, np.sqrt(2.0 * gap), rtol=1e-3, atol=0.0)
-        beta = cusps._derivatives(row, u, ((0, 0),))[:, 0]
+        beta = cusps._derivatives(row, u, cusps._weights(row.shape[0], ((0, 0),)))[:, 0]
         assert np.max(np.abs(beta)) <= 64 * np.finfo(float).eps * np.abs(row).sum()
 
     def test_series_matches_report_series(self):
@@ -206,7 +207,7 @@ class TestStackedSolve:
         row = cusps._evolved_rows(s, [t])[0][0]
         u = [z.location for z in find_zeros(s, t).zeros if z.kind == "simple_cusp"]
         assume(u)
-        beta = cusps._derivatives(row, u, ((0, 0),))[:, 0]
+        beta = cusps._derivatives(row, u, cusps._weights(row.shape[0], ((0, 0),)))[:, 0]
         assert np.max(np.abs(beta)) <= 64 * np.finfo(float).eps * np.abs(row).sum()
 
     @pytest.mark.parametrize("kind", ["random", "double zeros", "double zero on the seam"])
@@ -405,16 +406,20 @@ class TestFoldLocator:
             assert abs(event.t_event - ref.t_event) <= 1e-13
 
     def test_nearby_folds_stay_two_events(self):
-        # candidate 1640 of the benchmark pool: two folds 1.87e-6 apart in t
-        s = random_closed_spectral(np.random.default_rng([20251006, 1640]),
-                                   max_truncation=12)
-        series = zero_count_series(s, self.TIMES)
-        late = [e for e in detect_strict_decrease(s, series) if e.interval[0] > 1.0]
-        assert [(e.count_before, e.count_after) for e in late] == [(4, 2), (2, 0)]
-        assert 1e-6 < late[1].t_event - late[0].t_event < 3e-6
-        for event in late:
-            star = degenerate_zero_near(s, event.witness_u, event.t_event)
-            assert abs(star[1] - event.t_event) <= 1e-13
+        # candidates 1640 and 2945 of the benchmark pool: two folds 1.87e-6
+        # and 4.9e-7 apart in t, each certified in a box of radius below
+        # 1e-12, so their t-ranges do not overlap and they are two events
+        for index, gap in ((1640, (1e-6, 3e-6)), (2945, (4e-7, 6e-7))):
+            s = random_closed_spectral(np.random.default_rng([20251006, index]),
+                                       max_truncation=12)
+            series = zero_count_series(s, self.TIMES)
+            late = [e for e in detect_strict_decrease(s, series) if e.interval[0] > 1.0]
+            assert [(e.count_before, e.count_after) for e in late] == [(4, 2), (2, 0)]
+            assert gap[0] < late[1].t_event - late[0].t_event < gap[1]
+            for event in late:
+                assert event.certificate[1] < 1e-12
+                star = degenerate_zero_near(s, event.witness_u, event.t_event)
+                assert abs(star[1] - event.t_event) <= 1e-13
 
     @pytest.mark.parametrize("index", [859, 1375, 1642, 1847])
     def test_starts_where_the_cells_stay_undecided(self, index):
@@ -434,6 +439,87 @@ class TestFoldLocator:
         for event, ref in zip(events, reference):
             assert event.certificate[0] == "fold"
             assert abs(event.t_event - ref.t_event) <= 1e-13
+
+    @pytest.mark.parametrize("index", [None, 859, 1375, 1642, 1847])
+    def test_starts_from_the_series_sweep(self, monkeypatch, index):
+        # the Newton starts read from the sweep of zero_count_series or of
+        # report_series equal those of a new sweep of the drops' first rows,
+        # bit for bit; None is 0.01 + cos 2u (n = 1) over (0.5, 2), a drop
+        # whose first row the dominant-mode certificate settles
+        if index is None:
+            s = SpectralBeta.from_modes(1, a0=0.01, modes={2: (1.0, 0.0)})
+            times = np.array([0.5, 2.0])
+        else:
+            s = random_closed_spectral(np.random.default_rng([20251006, index]),
+                                       max_truncation=12)
+            times = self.TIMES
+        counts = [z for _, z in zero_count_series(s, times)]
+        first = np.flatnonzero(np.diff(counts) < 0)
+        rows = cusps._evolved_rows(s, times[first])[0]
+        if index is None:
+            assert cusps._certificates(rows)[1][0] > cusps.CERTIFICATE_MARGIN
+        fresh = cusps._starts(*cusps._cell_zeros(rows)[1:3], first.shape[0])
+        fresh = [x.tobytes() for x in fresh]
+        for series in (zero_count_series, cusps.report_series):
+            series(s, times)
+            with monkeypatch.context() as patch:
+                patch.setattr(cusps, "_cell_zeros", None)   # a new sweep would raise
+                cached = cusps._starts(*cusps._swept(s, times, first), first.shape[0])
+            assert [x.tobytes() for x in cached] == fresh
+        # another beta's sweep of the same times is not taken for this one's
+        cusps.report_series(SpectralBeta.from_modes(1, modes={2: (1.0, 0.0)}), times)
+        cached = cusps._starts(*cusps._swept(s, times, first), first.shape[0])
+        assert [x.tobytes() for x in cached] == fresh
+
+    @pytest.mark.parametrize("sweep", ["series", "reports"])
+    def test_one_sweep_per_series(self, fft_calls, sweep):
+        # acceptance test 05's draws: the events take their Newton starts
+        # from the series' own cell sweep, so a series and its events cost
+        # one inverse FFT
+        rng = np.random.default_rng(777)
+        for _ in range(100):
+            s = random_closed_spectral(rng, max_truncation=6)
+            before = len(fft_calls)
+            if sweep == "series":
+                series = zero_count_series(s, self.TIMES)
+            else:
+                series = [(r.t, r.count) for r in cusps.report_series(s, self.TIMES)]
+            detect_strict_decrease(s, series)
+            assert fft_calls[before:] == ["ifft"]
+
+    def test_threads_keep_their_own_starts(self):
+        # the sweep is one slot shared by every caller: threads that count
+        # and detect different draws at once, switching often, each get the
+        # events a lone caller gets
+        import sys
+        import threading
+
+        rng = np.random.default_rng(777)
+        draws = [random_closed_spectral(rng, max_truncation=6) for _ in range(8)]
+
+        def events(s):
+            return detect_strict_decrease(s, zero_count_series(s, self.TIMES))
+
+        expected = [events(s) for s in draws]
+        got = [None] * len(draws)
+
+        def work(i):
+            for _ in range(10):
+                got[i] = events(draws[i])
+                assert got[i] == expected[i]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(draws))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expected
 
     def test_solve_budget(self):
         # acceptance test 05's draws; bisection to EVENT_DT took about 18
@@ -511,7 +597,8 @@ class TestFoldLocator:
     def test_counts_certify_refused_folds(self, monkeypatch):
         # acceptance test 05's draws with every fold box refused: bisection
         # certifies the events instead
-        monkeypatch.setattr(cusps, "_fold_boxes", lambda s, u, t, lo, hi: np.full(u.shape, np.nan))
+        monkeypatch.setattr(cusps, "_fold_boxes", lambda s, u, t, lo, hi: (
+            np.full(u.shape, np.nan), np.zeros((u.shape[0], 2))))
         rng = np.random.default_rng(777)
         for _ in range(10):
             s = random_closed_spectral(rng, max_truncation=6)
@@ -546,8 +633,10 @@ class TestFoldCertificate:
         s = SpectralBeta.from_modes(1, a0=0.01, modes={2: (1.0, 0.0)})
         t_star = np.log(100.0) / 4.0
         u = np.array([np.pi / 2, 3 * np.pi / 2])
-        radius = cusps._fold_boxes(s, u, np.full(2, t_star), np.full(2, 0.5), np.full(2, 2.0))
+        radius, witness = cusps._fold_boxes(s, u, np.full(2, t_star), np.full(2, 0.5),
+                                            np.full(2, 2.0))
         assert np.all(radius < 1e-12)
+        assert np.max(np.abs(witness)) < 1e-15
         star = degenerate_zero_near(s, np.pi / 2, t_star)
         assert abs(star[1] - t_star) <= radius[0]
 
@@ -558,7 +647,7 @@ class TestFoldCertificate:
         u = np.array([np.pi / 2, np.pi / 2 + 1e-3, np.pi / 2])
         t = np.array([t_star + 1e-3, t_star, t_star])
         hi = np.array([2.0, 2.0, t_star + 1e-15])
-        assert np.isnan(cusps._fold_boxes(s, u, t, np.full(3, 0.5), hi)).all()
+        assert np.isnan(cusps._fold_boxes(s, u, t, np.full(3, 0.5), hi)[0]).all()
 
     def test_three_zeros_merging_refused(self):
         # n = 2, 0.05 cos u + cos 3u: three zeros merge at u = pi/2 and at
@@ -569,6 +658,36 @@ class TestFoldCertificate:
         t_star = np.log(60.0) / 2.0
         u = np.array([np.pi / 2, 3 * np.pi / 2])
         assert np.isnan(cusps._fold_boxes(s, u, np.full(2, t_star), np.full(2, 0.5),
-                                          np.full(2, 3.0))).all()
+                                          np.full(2, 3.0))[0]).all()
         events = detect_strict_decrease(s, zero_count_series(s, [0.5, 3.0]))
         assert {e.certificate[0] for e in events} == {"bisection"}
+
+    def test_matches_the_matrix_form(self, monkeypatch):
+        # acceptance test 05's draws: at every fold _accounted tries, and 1e-3
+        # off it in u or in t, the certificate written out row by row
+        # refuses where the matrix form does and agrees on the radius to
+        # rounding, and its witness columns are beta and d_u beta over S_0
+        boxes = cusps._fold_boxes
+        tried = []
+
+        def recorded(s, u, t, lo, hi):
+            tried.append((s, u, t, lo, hi))
+            return boxes(s, u, t, lo, hi)
+
+        monkeypatch.setattr(cusps, "_fold_boxes", recorded)
+        rng = np.random.default_rng(777)
+        for _ in range(100):
+            s = random_closed_spectral(rng, max_truncation=6)
+            detect_strict_decrease(s, zero_count_series(s, TestFoldLocator.TIMES))
+        certified = refused = 0
+        for s, u, t, lo, hi in tried:
+            for du, dt in ((0.0, 0.0), (1e-3, 0.0), (0.0, 1e-3)):
+                radius, witness = boxes(s, u + du, t + dt, lo, hi)
+                reference = matrix_fold_boxes(s, u + du, t + dt, lo, hi)
+                assert np.array_equal(np.isnan(radius), np.isnan(reference))
+                ok = ~np.isnan(radius)
+                assert np.all(np.abs(radius[ok] - reference[ok]) <= 1e-12 * reference[ok])
+                jet = cusps._jets(s, ((0, 0), (1, 0)))(u + du, t + dt)[0]
+                assert np.allclose(witness, jet, rtol=0.0, atol=1e-15)
+                certified, refused = certified + ok.sum(), refused + (~ok).sum()
+        assert certified > 250 and refused > 500
