@@ -46,6 +46,12 @@ def periodic_diff(values, axis=0):
     return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * du)
 
 
+def normal_form_normals(n, u):
+    """nu(u) = (sin nu, -cos nu), the normal field of a curve in normal form
+    with rotation index n; the flow keeps it frozen."""
+    return np.stack([np.sin(n * u), -np.cos(n * u)], axis=-1)
+
+
 def frame_from_normal(nu):
     """Rotate a unit normal anticlockwise by pi/2: mu = J nu = (-nu_y, nu_x)."""
     nu = np.asarray(nu, dtype=float)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import MIN_POINTS, LegendreCurve, angle_unwrap
+from .curves import MIN_POINTS, LegendreCurve, angle_unwrap, normal_form_normals
 from .errors import GridTooCoarseError, InvariantViolationError, ValidationError
 
 
@@ -194,7 +194,7 @@ def reparametrize(curve: LegendreCurve):
     phi_raw = _invert_monotone(psi_nodes, shifted)
 
     new_curve = LegendreCurve(positions=_periodic_component_spline(curve.positions)(phi_raw),
-                              normals=np.stack([np.sin(n * u), -np.cos(n * u)], axis=-1))
+                              normals=normal_form_normals(n, u))
 
     # unwrap phi so that increments stay positive across the seam
     phi = phi_raw + 2.0 * np.pi * np.cumsum(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import uniform_grid
+from .curves import normal_form_normals
 from .errors import ClassificationError, ValidationError
 from . import spectral
 
@@ -54,8 +54,7 @@ class SelfSimilarProfile:
         return self.c1 * np.cos(self.m * u) + self.c2 * np.sin(self.m * u)
 
     def normal(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.stack([np.sin(self.n * u), -np.cos(self.n * u)], axis=-1)
+        return normal_form_normals(self.n, np.asarray(u, dtype=float))
 
     def spectral(self) -> spectral.SpectralBeta:
         """The coefficient set whose flow is exactly this profile's."""

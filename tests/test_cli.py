@@ -61,6 +61,14 @@ class TestSimulate:
         expected = np.exp(-3.0 * 0.5) * np.cos(2 * curve.grid)
         assert np.max(np.abs(extras["beta"] - expected)) < 1e-12
 
+    def test_transform_budget(self, tmp_path, fft_calls):
+        # one forward FFT certifies the reconstructed curve for all three
+        # times; one inverse FFT reconstructs it and each time takes two
+        code = run(["simulate", "--n", "1", "--mode", "2:1", "--mode", "3:0.2",
+                    "--times", "0.1,0.5,1.0", "--outdir", str(tmp_path)])
+        assert code == 0
+        assert sorted(fft_calls) == ["fft"] + ["ifft"] * 7
+
     def test_deterministic(self, tmp_path):
         for sub in ("a", "b"):
             run(["simulate", "--n", "1", "--mode", "2:1", "--times", "0,1",

@@ -7,7 +7,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import (dense_projection, mode_derivative, per_mode_evolve_curve,
                       physical_mismatch, random_closed_spectral)
 from legendreflow.curves import LegendreCurve, check_closure, uniform_grid
-from legendreflow.errors import NotClosedError, PointCurveError, ValidationError
+from legendreflow.errors import (
+    InvariantViolationError,
+    NotClosedError,
+    PointCurveError,
+    ValidationError,
+)
 from legendreflow.spectral import (
     CONSISTENCY_ROUNDING,
     SpectralBeta,
@@ -157,6 +162,23 @@ class TestEvolveBeta:
         s = SpectralBeta.from_modes(1, a0=1.0)
         with pytest.raises(ValidationError):
             evolve_beta(s, -0.1, np.array([0.0]))
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        s = SpectralBeta.from_modes(1, a0=1.0)
+        with pytest.raises(ValidationError, match="finite"):
+            evolve_beta(s, t, np.array([0.0]))
+
+    @pytest.mark.parametrize("dt", [0, 1, 2])
+    def test_overflowing_spectrum_refused(self, dt):
+        # e^{lambda_0 t} = e^{800} overflows; it was an inf/NaN array and a
+        # stray "overflow encountered in exp" (a RuntimeWarning fails the
+        # suite).  d_u removes the growing mean mode, and the rest stays finite.
+        s = SpectralBeta.from_modes(2, a0=0.5, modes={3: (0.3, 0.2)})
+        u = uniform_grid(16)
+        with pytest.raises(InvariantViolationError, match="overflows"):
+            evolve_beta(s, 800.0, u, dt=dt)
+        assert np.all(np.isfinite(evolve_beta(s, 800.0, u, du=1, dt=dt)))
 
     @pytest.mark.parametrize("du", [1, 2, 3])
     def test_u_derivative_matches_mode_sum(self, rng, du):
@@ -354,12 +376,122 @@ class TestEvolveCurve:
 
     def test_three_transforms_when_certified(self, fft_calls):
         # one forward FFT certifies the initial curve; the displacement and
-        # beta(t) take one inverse FFT each (the physical-space check took 5)
+        # beta(t) take one inverse FFT each (the physical-space check took 5),
+        # and a further time of the same (s, curve) skips the certificate
         s = SpectralBeta.from_modes(1, modes={2: (1.0, 0.0), 3: (0.3, 0.2)})
         curve = reconstruct_initial_curve(s, base_point=(0.2, -0.4), num_samples=512)
         fft_calls.clear()
         evolve_curve(s, curve, 0.7)
-        assert len(fft_calls) == 3
+        assert fft_calls == ["fft", "ifft", "ifft"]
+        for t in (1.1, 0.2):
+            evolve_curve(s, curve, t)
+        assert fft_calls == ["fft"] + ["ifft"] * 6
+
+    def test_each_new_key_recertifies(self, fft_calls):
+        # the certificate is kept for these very objects under this tolerance:
+        # an equal curve, another tolerance or an equal coefficient set is
+        # checked again with its forward FFT
+        s = SpectralBeta.from_modes(1, modes={2: (1.0, 0.0), 3: (0.3, 0.2)})
+        curve = reconstruct_initial_curve(s, num_samples=256)
+        twin_curve = LegendreCurve(positions=curve.positions, normals=curve.normals)
+        twin_s = SpectralBeta(n=s.n, cos_coeffs=s.cos_coeffs, sin_coeffs=s.sin_coeffs)
+        evolve_curve(s, curve, 0.5)
+        for args, tol in (((s, twin_curve), 1e-8), ((s, twin_curve), 1e-9),
+                          ((twin_s, twin_curve), 1e-9)):
+            fft_calls.clear()
+            evolve_curve(*args, 0.5, consistency_tol=tol)
+            assert fft_calls == ["fft", "ifft", "ifft"]
+
+    def test_refusal_is_not_remembered(self, fft_calls):
+        s = SpectralBeta.from_modes(1, modes={2: (1.0, 0.0)})
+        other = SpectralBeta.from_modes(1, modes={3: (1.0, 0.0)})
+        curve = reconstruct_centered_curve(other, 256)
+        for _ in range(2):
+            fft_calls.clear()
+            with pytest.raises(ValidationError, match="inconsistent"):
+                evolve_curve(s, curve, 0.5)
+            assert fft_calls[0] == "fft"
+
+    def test_remembered_certificate_gives_the_same_bits(self, rng):
+        for _ in range(4):
+            s = random_closed_spectral(rng, max_truncation=12)
+            curve = reconstruct_initial_curve(s, base_point=(0.6, 0.1), num_samples=1024)
+            evolve_curve(s, curve, 0.3)
+            for t in (0.0, 0.9, 2.5):
+                hit = evolve_curve(s, curve, t)
+                fresh = LegendreCurve(positions=curve.positions.copy(),
+                                      normals=curve.normals.copy())
+                miss = evolve_curve(s, fresh, t)
+                assert hit.t == miss.t
+                for got, want in ((hit.curve.positions, miss.curve.positions),
+                                  (hit.curve.normals, miss.curve.normals),
+                                  (hit.curvature.beta, miss.curvature.beta),
+                                  (hit.curvature.ell, miss.curvature.ell)):
+                    assert np.array_equal(got, want)
+
+    def test_threads_keep_their_own_frames(self):
+        # the certificate is one slot shared by every caller: threads that
+        # evolve different curves at once, switching often, each get the
+        # frame and positions a lone caller gets
+        import sys
+        import threading
+
+        rng = np.random.default_rng(31)
+        pairs = []
+        for i in range(8):
+            s = random_closed_spectral(rng, max_truncation=8)
+            pairs.append((s, reconstruct_initial_curve(s, num_samples=128 + 32 * i)))
+        times = (0.1, 0.6, 1.4)
+
+        def states(i):
+            s, curve = pairs[i]
+            return [evolve_curve(s, curve, t) for t in times]
+
+        expected = [states(i) for i in range(len(pairs))]
+        failures = []
+
+        def work(i):
+            try:
+                for _ in range(20):
+                    for got, want in zip(states(i), expected[i]):
+                        if not (np.array_equal(got.curve.normals, want.curve.normals)
+                                and np.array_equal(got.curve.positions,
+                                                   want.curve.positions)):
+                            failures.append(i)
+            except Exception as error:  # a frame of another grid fails to build
+                failures.append(repr(error))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(pairs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        # nan passed the t < 0 test and gave all-NaN positions and beta
+        s = SpectralBeta.from_modes(1, modes={2: (1.0, 0.0)})
+        curve = reconstruct_centered_curve(s, 128)
+        with pytest.raises(ValidationError, match="finite"):
+            evolve_curve(s, curve, t)
+
+    def test_overflowing_spectrum_refused(self):
+        # e^{lambda_0 t} = e^{800} overflows: refused before any grid sum, on
+        # the first call of the curve and on a call that reuses its certificate
+        s = SpectralBeta.from_modes(2, a0=0.5, modes={3: (0.3, 0.2)})
+        curve = reconstruct_initial_curve(s, num_samples=256)
+        with pytest.raises(InvariantViolationError, match="overflows"):
+            evolve_curve(s, curve, 800.0)
+        assert np.all(np.isfinite(evolve_curve(s, curve, 1.0).curve.positions))
+        with pytest.raises(InvariantViolationError, match="overflows"):
+            evolve_curve(s, curve, 800.0)
 
     def test_frontal_and_closure_preserved(self, rng):
         for _ in range(5):
