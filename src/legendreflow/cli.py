@@ -196,9 +196,9 @@ def _profile(stem, profile, samples):
     from . import selfsimilar
 
     num = max(samples, profile.render_samples())
-    u = np.linspace(0.0, 2.0 * np.pi, num, endpoint=False)
+    u = uniform_grid(num)
     positions = selfsimilar.profile_position(profile, u)
-    curve = LegendreCurve(positions=positions, normals=profile.normal(u))
+    curve = LegendreCurve(positions=positions, normals=profile.normal(num))
     curvature = LegendreCurvature(ell=np.full(num, float(profile.n)), beta=profile.beta(u))
     return {f"{stem}.csv": curveio.CurveSamples(curve, curvature),
             f"{stem}.svg": curveio.render_svg(positions)}

@@ -64,22 +64,23 @@ def write_json(path, data, sort_keys=False):
 
 
 def check_artifact(name, item):
-    """Refuse an artifact that would hold NaN or an infinity; a JSON payload
-    comes back as its text, anything else as given.  An SVG text needs no
-    check: render_svg refuses an overflowing extent."""
+    """Refuse an artifact that would hold NaN or an infinity.  A curve comes
+    back as its Table, stacked once here, a JSON payload as its text, and a
+    Table or a text as given: write_artifact writes what comes back with no
+    second check.  An SVG text needs no check: render_svg refuses an
+    overflowing extent."""
     if isinstance(item, str):
         return item
-    if not isinstance(item, (Table, CurveSamples)):
+    if isinstance(item, CurveSamples):
+        item = item.table()
+    elif not isinstance(item, Table):
         return json_text(name, item)
-    rows = item.table().rows if isinstance(item, CurveSamples) else item.rows
-    if not np.isfinite(np.asarray(rows, dtype=float)).all():
+    if not np.isfinite(np.asarray(item.rows, dtype=float)).all():
         raise InvariantViolationError(f"{name}: non-finite value, not written")
     return item
 
 
-def write_table(path, header, rows):
-    path = Path(path)
-    check_artifact(path.name, Table(header, rows))
+def _write_rows(path, header, rows):
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
     lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
@@ -87,16 +88,20 @@ def write_table(path, header, rows):
     return path
 
 
+def write_table(path, header, rows):
+    path = Path(path)
+    return _write_rows(path, *check_artifact(path.name, Table(header, rows)))
+
+
 def write_curve_csv(path, curve: LegendreCurve, curvature=None, t=None):
     return write_table(path, *CurveSamples(curve, curvature, t).table())
 
 
 def write_artifact(path, item):
-    """Write an artifact that check_artifact passed: a curve or table CSV, or text."""
-    if isinstance(item, CurveSamples):
-        return write_curve_csv(path, *item)
+    """Write what check_artifact returned: a CSV table, or text."""
+    path = Path(path)
     if isinstance(item, Table):
-        return write_table(path, *item)
+        return _write_rows(path, *item)
     path.write_text(item)
     return path
 

@@ -10,10 +10,15 @@ curvature is the pair
 
 Sampled data is differentiated with centered second-order periodic
 differences; everything spectral lives in :mod:`legendreflow.spectral`.
+
+The uniform grid (per N) and the normal-form frame (per (n, N)) are built
+once per size and shared as read-only arrays, as are the FFT symbols of
+spectral and reparam: see _table for the bound on what is kept.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +36,48 @@ ROTATION_INDEX_TOL = 1e-6
 # them from here, so the CLI validates its options without loading fd.
 SCHEMES = ("explicit_euler", "crank_nicolson")
 MIN_POINTS = 8
+#: Most per-size tables kept at once, and most bytes they hold in all.
+TABLE_BOUND = 256
+TABLE_BYTES = 2 ** 24
+
+_tables = {}
+_tables_lock = threading.Lock()
+
+
+def _table(key, build):
+    """The read-only array build(), built once per key.
+
+    A table depends on its key alone (a grid size, a rotation index, a
+    truncation), so every caller shares one copy, and no caller can write it.
+    At most TABLE_BOUND tables of TABLE_BYTES = 16 MiB in all are kept, the
+    oldest dropped first, and a larger table is built on every call.  At the
+    CLI's MAX_SAMPLES, N = 2**16, a frame takes 1 MiB and a grid 0.5 MiB, so
+    the bytes bound is reached after about 10 such sizes.  A run at 12 sizes
+    up to N = 8192 with K <= 32 keeps about 80 tables in 0.7 MiB.  Threads may
+    build one table twice, but all of them get the copy that was kept first.
+    """
+    table = _tables.get(key)
+    if table is None:
+        table = build()
+        table.setflags(write=False)
+        if table.nbytes > TABLE_BYTES:
+            return table
+        with _tables_lock:
+            if key not in _tables:
+                kept = sum(other.nbytes for other in _tables.values())
+                while _tables and (len(_tables) >= TABLE_BOUND
+                                   or kept + table.nbytes > TABLE_BYTES):
+                    kept -= _tables.pop(next(iter(_tables))).nbytes
+                _tables[key] = table
+            table = _tables[key]
+    return table
 
 
 def uniform_grid(n_samples):
-    """Uniform periodic grid on [0, 2*pi), endpoint excluded."""
-    return np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
+    """Uniform periodic grid on [0, 2*pi), endpoint excluded; read-only, built
+    once per n_samples."""
+    return _table(("grid", n_samples),
+                  lambda: np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False))
 
 
 def periodic_diff(values, axis=0):
@@ -46,10 +88,19 @@ def periodic_diff(values, axis=0):
     return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * du)
 
 
+def _normals(n, u):
+    return np.stack([np.sin(n * u), -np.cos(n * u)], axis=-1)
+
+
 def normal_form_normals(n, u):
     """nu(u) = (sin nu, -cos nu), the normal field of a curve in normal form
-    with rotation index n; the flow keeps it frozen."""
-    return np.stack([np.sin(n * u), -np.cos(n * u)], axis=-1)
+    with rotation index n; the flow keeps it frozen.
+
+    u is an array of points, or an int N for the uniform N-point grid: that
+    frame is read-only and built once per (n, N)."""
+    if isinstance(u, (int, np.integer)):
+        return _table(("frame", n, u), lambda: _normals(n, uniform_grid(u)))
+    return _normals(n, np.asarray(u, dtype=float))
 
 
 def frame_from_normal(nu):

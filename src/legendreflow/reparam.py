@@ -12,6 +12,10 @@ part) is inverted by safeguarded Newton steps on the cubic Hermite with the
 spline's node slopes, limited where needed so that it stays monotone, and
 the positions are resampled at phi by their spline.  The normals are
 (sin nu, -cos nu) by construction: Theta o phi = nu mod 2*pi.
+
+The spline symbol 6/(4 + 2 cos(k du)) (per N), the grid and the frame are
+built once and shared read-only through the memo of
+:mod:`legendreflow.curves` (bounded, see curves._table).
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import MIN_POINTS, LegendreCurve, angle_unwrap, normal_form_normals
+from .curves import (MIN_POINTS, LegendreCurve, _table, angle_unwrap, normal_form_normals,
+                     uniform_grid)
 from .errors import GridTooCoarseError, InvariantViolationError, ValidationError
 
 
@@ -58,8 +63,7 @@ def image_hausdorff_distance(curve_a: LegendreCurve, curve_b: LegendreCurve,
     """
     def dense(curve):
         num = curve.grid_size * upsample
-        t = np.linspace(0.0, 2.0 * np.pi, num, endpoint=False)
-        return _periodic_component_spline(curve.positions)(t)
+        return _periodic_component_spline(curve.positions)(uniform_grid(num))
 
     def one_sided(points, polyline):
         num = polyline.shape[0]
@@ -143,7 +147,8 @@ def _periodic_component_spline(values):
     values = np.asarray(values, dtype=float)
     num = values.shape[0]
     du = 2.0 * np.pi / num
-    symbol = 6.0 / (4.0 + 2.0 * np.cos(du * np.arange(num // 2 + 1)))
+    symbol = _table(("spline symbol", num),
+                    lambda: 6.0 / (4.0 + 2.0 * np.cos(du * np.arange(num // 2 + 1))))
     coeffs = np.fft.irfft(np.fft.rfft(values, axis=0)
                           * symbol.reshape((-1,) + (1,) * (values.ndim - 1)),
                           n=num, axis=0)
@@ -194,7 +199,7 @@ def reparametrize(curve: LegendreCurve):
     phi_raw = _invert_monotone(psi_nodes, shifted)
 
     new_curve = LegendreCurve(positions=_periodic_component_spline(curve.positions)(phi_raw),
-                              normals=normal_form_normals(n, u))
+                              normals=normal_form_normals(n, curve.grid_size))
 
     # unwrap phi so that increments stay positive across the seam
     phi = phi_raw + 2.0 * np.pi * np.cumsum(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import normal_form_normals
-from .errors import ClassificationError, ValidationError
+from .errors import ClassificationError, InvariantViolationError, ValidationError
 from . import spectral
 
 
@@ -54,7 +54,9 @@ class SelfSimilarProfile:
         return self.c1 * np.cos(self.m * u) + self.c2 * np.sin(self.m * u)
 
     def normal(self, u):
-        return normal_form_normals(self.n, np.asarray(u, dtype=float))
+        """(sin nu, -cos nu) at the points u, or on the uniform grid of u points
+        for an int u (see normal_form_normals)."""
+        return normal_form_normals(self.n, u)
 
     def spectral(self) -> spectral.SpectralBeta:
         """The coefficient set whose flow is exactly this profile's."""
@@ -86,12 +88,18 @@ def profile_position(profile: SelfSimilarProfile, u):
 
 
 def lambda_star(n, m, t):
-    """Scaling factor e^{(1 - m^2/n^2) t} of the (n, m) profile."""
+    """Scaling factor e^{(1 - m^2/n^2) t} of the (n, m) profile.
+
+    A t that is negative or not finite raises ValidationError, a factor that
+    overflows a double InvariantViolationError."""
     if m == n:
         raise ClassificationError(f"m = n = {m} admits no self-similar solution")
-    if t < 0:
-        raise ValidationError(f"time must be >= 0, got {t}")
-    return float(np.exp(spectral.eigenvalue(n, m) * t))
+    spectral._check_time(t)
+    with np.errstate(over="ignore"):
+        scale = float(np.exp(spectral.eigenvalue(n, m) * t))
+    if not np.isfinite(scale):
+        raise InvariantViolationError(f"lambda*({n}, {m}) overflows at t = {t!r}")
+    return scale
 
 
 def lap_count(n, m):

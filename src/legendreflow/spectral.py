@@ -31,9 +31,14 @@ evolve_curve certifies its initial curve in mode space: sum |R_q| over the
 spectrum of d_u X_0 - beta_0 mu (one forward FFT) bounds the mismatch, and
 only an uncertified curve is tested exactly on the grid.  Both tests allow
 the rounding of the stored positions, amplified N-fold by the derivative.
-The certificate and the frozen frame depend on (beta_0, X_0) alone, not on
-t, so they are computed once per (s, curve, tol): each further time costs
-two inverse FFTs.  A refused curve is not remembered and is refused again.
+The certificate depends on (beta_0, X_0) alone, not on t, so it is computed
+once per (s, curve, tol): each further time costs two inverse FFTs.  A
+refused curve is not remembered and is refused again.
+
+The eigenvalues and the frequencies n +- k (per (n, K)), the FFT frequencies
+(per N) and the frozen frame (per (n, N)) are built once and shared
+read-only through the memo of :mod:`legendreflow.curves`, whose bound is
+documented at curves._table.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import LegendreCurve, LegendreCurvature, normal_form_normals, uniform_grid
+from .curves import LegendreCurve, LegendreCurvature, _table, normal_form_normals, uniform_grid
 from .errors import InvariantViolationError, NotClosedError, PointCurveError, ValidationError
 
 CLOSURE_COEFF_TOL = 1e-8       # n band of sampled beta_0 (analyze_beta), zeroed below it
@@ -124,8 +129,14 @@ class SpectralBeta:
         return out
 
     def eigenvalues(self):
-        k = np.arange(self.truncation + 1)
-        return 1.0 - (k * k) / (self.n * self.n)
+        """lambda_k for k = 0..K; read-only, built once per (n, K)."""
+        n, top = self.n, self.truncation
+
+        def build():
+            k = np.arange(top + 1)
+            return 1.0 - (k * k) / (n * n)
+
+        return _table(("eigenvalues", n, top), build)
 
 
 def analyze_beta(beta0, n, truncation=None):
@@ -229,9 +240,17 @@ def evolve_beta(s: SpectralBeta, t, u, du=0, dt=0):
 def _shifted(s: SpectralBeta, c):
     """(p, h) with e^{inu} Re sum_k c_k e^{iku} = sum_j h_j e^{i p_j u}: the
     frequencies p = n + k for k = -K..K, h_{+-k} = c_k/2 or its conjugate."""
-    k = np.arange(c.shape[0])
-    p = np.concatenate([s.n + k, s.n - k[1:]])
-    return p, np.concatenate([c[:1].real, 0.5 * c[1:], 0.5 * np.conj(c[1:])])
+    h = np.concatenate([c[:1].real, 0.5 * c[1:], 0.5 * np.conj(c[1:])])
+    return _frequencies(s.n, c.shape[0] - 1), h
+
+
+def _frequencies(n, top):
+    """n + k for k = 0..K, then n - k for k = 1..K; read-only, built once per (n, K)."""
+    def build():
+        k = np.arange(top + 1)
+        return np.concatenate([n + k, n - k[1:]])
+
+    return _table(("frequencies", n, top), build)
 
 
 def _increment(s: SpectralBeta, u):
@@ -255,8 +274,7 @@ def reconstruct_initial_curve(s: SpectralBeta, base_point=(0.0, 0.0), num_sample
     The curve closes to within pi N_BAND_TOL: int_0^2pi beta_0 mu = pi (a_n,
     b_n), and SpectralBeta admits no larger n band."""
     positions = np.asarray(base_point, dtype=float) + _increment(s, num_samples)
-    return LegendreCurve(positions=positions,
-                         normals=normal_form_normals(s.n, uniform_grid(num_samples)))
+    return LegendreCurve(positions=positions, normals=normal_form_normals(s.n, num_samples))
 
 
 def reconstruct_centered_curve(s: SpectralBeta, num_samples=512):
@@ -279,7 +297,7 @@ def spectral_derivative(samples, axis=0):
     """FFT derivative on the periodic grid; exact for band-limited samples."""
     samples = np.asarray(samples, dtype=float)
     num = samples.shape[axis]
-    freqs = np.fft.rfftfreq(num, d=1.0 / num)
+    freqs = _table(("rfftfreq", num), lambda: np.fft.rfftfreq(num, d=1.0 / num))
     coeffs = np.fft.rfft(samples, axis=axis)
     shape = [1] * samples.ndim
     shape[axis] = -1
@@ -315,25 +333,25 @@ def _displacement(s: SpectralBeta, c, num):
     return np.stack([z.real, z.imag], axis=-1)
 
 
-# The last certified initial curve, (s, curve, consistency_tol, nu): curve
-# passed evolve_curve's consistency test against s under consistency_tol, and
-# nu is its frozen frame.  Holding s and curve keeps their ids from being
-# reused; both are frozen with read-only arrays, so the certificate stays true.
+# The last certified initial curve, (s, curve, consistency_tol): curve passed
+# evolve_curve's consistency test against s under consistency_tol.  Holding s
+# and curve keeps their ids from being reused; both are frozen with read-only
+# arrays, so the certificate stays true.
 _certified = None
 
 
-def _certified_frame(s: SpectralBeta, curve: LegendreCurve, consistency_tol):
-    """The frame (sin nu, -cos nu) on the grid of curve, once curve passes the
-    consistency test of evolve_curve: from the last certificate when it was of
-    these objects under this tolerance, else after a new test."""
+def _certify(s: SpectralBeta, curve: LegendreCurve, consistency_tol):
+    """Refuse curve unless it passes the consistency test of evolve_curve; the
+    last certificate stands in for the test when it was of these objects under
+    this tolerance."""
     global _certified
     last = _certified
     if (last is not None and last[0] is s and last[1] is curve
             and last[2] == consistency_tol):
-        return last[3]
+        return
     num = curve.grid_size
     positions = curve.positions
-    residual = np.fft.fftfreq(num, 1.0 / num) * 1j \
+    residual = _table(("fftfreq", num), lambda: np.fft.fftfreq(num, 1.0 / num)) * 1j \
         * np.fft.fft(positions[:, 0] + 1j * positions[:, 1], norm="forward")
     if num % 2 == 0:
         residual[num // 2] = 0.0
@@ -349,9 +367,7 @@ def _certified_frame(s: SpectralBeta, curve: LegendreCurve, consistency_tol):
                 f"initial curve inconsistent with the coefficient set: "
                 f"max |d_u X0 - beta_0 mu| = {mismatch:g}"
             )
-    nu = normal_form_normals(s.n, curve.grid)
-    _certified = (s, curve, consistency_tol, nu)
-    return nu
+    _certified = (s, curve, consistency_tol)
 
 
 def evolve_curve(s: SpectralBeta, initial_curve: LegendreCurve, t,
@@ -379,21 +395,22 @@ def evolve_curve(s: SpectralBeta, initial_curve: LegendreCurve, t,
     from the origin from being refused; near it (|X_0| ~ 1, N = 8192) the
     term is 7e-12.
 
-    Neither the check nor the frame depends on t: both are computed once per
-    (s, initial_curve, consistency_tol), the last such triple is remembered,
-    and each further time of it costs two inverse FFTs (the displacement and
-    beta(t)).  A refused curve is not remembered, so every call refuses it.
+    The check does not depend on t: it runs once per (s, initial_curve,
+    consistency_tol), the last such triple is remembered, and each further
+    time of it costs two inverse FFTs (the displacement and beta(t)); the
+    frame is the read-only table of (n, N).  A refused curve is not
+    remembered, so every call refuses it.
     A t that is not finite raises ValidationError; an evolved spectrum whose
     bound sum_k |c_k| overflows raises InvariantViolationError.
     """
     _check_time(t)
-    nu = _certified_frame(s, initial_curve, consistency_tol)
+    _certify(s, initial_curve, consistency_tol)
     num = initial_curve.grid_size
     # _displacement scales the mode k terms by |k -+ n|/n^2 <= (K + n)/n^2
     growth = _evolved(s, t, lambda lam: growth_factor(lam, t),
                       gain=(s.truncation + s.n) / s.n**2)
     beta = _evolved(s, t, lambda lam: np.exp(lam * t))
     curve = LegendreCurve(positions=initial_curve.positions + _displacement(s, growth, num),
-                          normals=nu)
+                          normals=normal_form_normals(s.n, num))
     curvature = LegendreCurvature(ell=np.full(num, float(s.n)), beta=_series(beta, num))
     return FlowState(t=float(t), curve=curve, curvature=curvature)

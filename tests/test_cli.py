@@ -20,11 +20,16 @@ from conftest import csv_writer_curve, per_point_render_svg
 from legendreflow import spectral
 from legendreflow.cli import MAX_MODE, MAX_PROFILE_FREQUENCY, MAX_SAMPLES, main
 from legendreflow.curveio import (
+    CurveSamples,
+    Table,
+    check_artifact,
     read_curve_csv,
     render_svg,
     sha256_of,
+    write_artifact,
     write_curve_csv,
     write_json,
+    write_table,
 )
 from legendreflow.curves import (
     LegendreCurvature,
@@ -462,6 +467,30 @@ class TestNonFiniteOutput:
         with pytest.raises(InvariantViolationError):
             write_curve_csv(tmp_path / "c.csv", curve, t=float("nan"))
         assert not (tmp_path / "c.csv").exists()
+
+    def test_checked_artifacts_are_refused_or_written_as_is(self, tmp_path):
+        s = SpectralBeta.from_modes(1, modes={2: (1.0, -0.3)})
+        curve = reconstruct_centered_curve(s, 16)
+        curvature = LegendreCurvature(np.ones(16), np.linspace(-1.0, 1.0, 16))
+        # a curve is stacked once, by the check; its bytes are write_curve_csv's
+        checked = check_artifact("a.csv", CurveSamples(curve, curvature, 0.25))
+        assert isinstance(checked, Table)
+        write_artifact(tmp_path / "a.csv", checked)
+        write_curve_csv(tmp_path / "b.csv", curve, curvature, 0.25)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        # a table's rows are written as given: an int stays an int
+        counts = Table(["t", "z"], [[0.5, 3], [1.0, 1]])
+        write_artifact(tmp_path / "z.csv", check_artifact("z.csv", counts))
+        assert (tmp_path / "z.csv").read_bytes() == b"t,z\r\n0.5,3\r\n1.0,1\r\n"
+        for bad in (Table(["t", "z"], [[0.5, float("nan")]]),
+                    Table(["t"], np.array([[np.inf]])),
+                    CurveSamples(curve, curvature, float("inf"))):
+            with pytest.raises(InvariantViolationError):
+                check_artifact("x.csv", bad)
+            with pytest.raises(InvariantViolationError):
+                write_table(tmp_path / "x.csv", *(bad.table() if isinstance(bad, CurveSamples)
+                                                  else bad))
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestManifest:

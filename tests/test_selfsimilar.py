@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from legendreflow.curves import uniform_grid
-from legendreflow.errors import ClassificationError, ValidationError
+from legendreflow.errors import ClassificationError, InvariantViolationError, ValidationError
 from legendreflow.selfsimilar import (
     GALLERY_PROFILES,
     SelfSimilarProfile,
@@ -72,6 +72,16 @@ class TestLambdaStar:
     def test_m_equals_n_rejected(self):
         with pytest.raises(ClassificationError):
             lambda_star(2, 2, 1.0)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])
+    def test_time_must_be_finite_and_nonnegative(self, t):
+        with pytest.raises(ValidationError):
+            lambda_star(1, 2, t)
+
+    def test_overflow_is_refused_quietly(self, capsys):
+        with pytest.raises(InvariantViolationError):
+            lambda_star(2, 0, 800.0)
+        assert capsys.readouterr().err == ""
 
 
 class TestLapAndCuspCounts:
