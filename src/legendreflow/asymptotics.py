@@ -6,8 +6,8 @@ rescaled flow (X(., t) - p)/e^{(1 - m^2/n^2) t} converges to the profile
 X*_{n, m, a_m, b_m}; the error is a finite sum of sub-leading modes, each
 decaying at an exact exponential rate, so the fitted slope of log(error)
 matches lambda_{k'} - lambda_m to rounding (k' the next surviving mode).
-The scaled errors at all sample times of a fit are one stack of weighted
-spectra, summed on the grid in one inverse FFT.
+The scaled errors at all sample times of a fit are one stack of evolved
+rows (spectral._rows), summed on the grid in one inverse FFT.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .curves import LegendreCurve
 from .errors import LegendreFlowError, ValidationError
-from .spectral import SpectralBeta, _displacement, eigenvalue
+from .spectral import SpectralBeta, _check_time, _displacement, _finite_rows, _row
 
 LEADING_TOL = 1e-12
 
@@ -57,28 +57,21 @@ def leading_mode(s: SpectralBeta):
 def _scaled_errors(s: SpectralBeta, times, num):
     """scaled_error at each of the times, all on the num-point grid in one synthesis.
 
-    The weights e^{(lambda_k - lambda_m) t}/lambda_k form one (K + 1, T) stack
-    of spectra, one column per time, and _displacement sums every column in
-    one inverse FFT.
+    The surviving modes' evolved rows (shift lambda_m t), over lambda_k and
+    without mode m and the n band, form one (K + 1, T) stack of spectra, one
+    column per time, and _displacement sums every column in one inverse FFT.
     """
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValidationError(f"time must be >= 0, got {times[times < 0][0]}")
+    times = _check_time(times)
     m, _, _ = leading_mode(s)
     if m == s.n:
         raise LegendreFlowError(
             "leading mode equals the rotation index; impossible for a closed "
             "curve (internal inconsistency)"
         )
-    lam_m = eigenvalue(s.n, m)
     lam = s.eigenvalues()
-    keep = _surviving(s) & (lam != 0.0)
-    keep[m] = False
-    c = (s.cos_coeffs - 1j * s.sin_coeffs) * keep
-    live = c != 0.0
-    stack = np.zeros(c.shape + times.shape, dtype=complex)
-    stack[live] = c[live, None] * (np.exp(np.multiply.outer(lam[live] - lam_m, times))
-                                   / lam[live, None])
+    rows, _ = _finite_rows(_row(s) * _surviving(s), lam, times)
+    rows[:, m] = 0.0
+    stack = np.divide(rows, lam, out=np.zeros_like(rows), where=lam != 0.0).T
     # the grid axis first: numpy reduces (N, T, 2) over the axes (0, 2) about 6x slower
     return np.max(np.abs(_displacement(s, stack, num)), axis=0).max(axis=-1)
 

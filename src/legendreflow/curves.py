@@ -53,7 +53,7 @@ def _table(key, build):
     oldest dropped first, and a larger table is built on every call.  At the
     CLI's MAX_SAMPLES, N = 2**16, a frame takes 1 MiB and a grid 0.5 MiB, so
     the bytes bound is reached after about 10 such sizes.  A run at 12 sizes
-    up to N = 8192 with K <= 32 keeps about 80 tables in 0.7 MiB.  Threads may
+    up to N = 8192 with K <= 32 keeps about 95 tables in 0.7 MiB.  Threads may
     build one table twice, but all of them get the copy that was kept first.
     """
     table = _tables.get(key)

@@ -7,7 +7,8 @@ theorem), and each strict drop happens exactly at a degenerate zero with
 beta = d_u beta = 0.  beta(., t) = Re sum_k c_k e^{iku} is a trigonometric
 polynomial of degree K, on which d_u and d_t act mode-wise as (ik)^p
 lambda_k^q.  Zero sets ignore positive factors, so the largest growth factor
-is divided out: counts hold at any t.
+is divided out: counts hold at any t.  The rows, weights and point sums come
+from spectral's kernel (_rows, _weights, _derivatives), which drops no mode.
 
 Most counts need no search.  Write beta = A cos(j(u - phi)) + R with j
 the mode of largest |c_k| = A, so |R| <= rho0 = sum_{k != j} |c_k| and
@@ -88,13 +89,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolationError, ValidationError
-from .spectral import SpectralBeta, _series
+from .spectral import (SpectralBeta, _check_time, _derivatives, _finite_rows, _row, _rows,
+                       _series, _weights)
 
-NEGLIGIBLE_MODE = 1e-14         # relative: smaller evolved modes are dropped
 # The width in t to which the bisection fallback brackets each event.
 EVENT_DT = 1e-6
-# The dominant-mode certificate settles z(t) when its margin exceeds this,
-# which covers rounding and the modes below NEGLIGIBLE_MODE.
+# The dominant-mode certificate settles z(t) when its margin exceeds this.
+# That is far above rounding, but a lower value would change which rows the
+# cells sweep and which reports carry a certificate.
 CERTIFICATE_MARGIN = 1e-3
 # The cell certificate's uniform grid (4(K + 1) points when that is more),
 # how often it halves an undecided cell, and the highest derivative order the
@@ -142,45 +144,6 @@ class DecreaseEvent:
     witness_dbeta: float
     # ("fold", box radius, residual) or ("bisection",): see detect_strict_decrease
     certificate: tuple | None = None
-
-
-def _evolved_rows(s: SpectralBeta, times):
-    """(c, shift), beta(u, times[i]) = e^shift_i Re sum_k c_ik e^{iku}, c_ik = (a_k -
-    i b_k) e^{lambda_k t_i - shift_i}, shift_i the largest lambda_k t_i of a
-    nonzero mode; modes below NEGLIGIBLE_MODE of a row's largest are zeroed.
-    Raises InvariantViolationError when a shift is not a finite double."""
-    times = np.asarray(times, dtype=float)
-    c0 = s.cos_coeffs - 1j * s.sin_coeffs
-    live = c0 != 0.0
-    lam = s.eigenvalues()[live]
-    top = np.where(times >= 0, lam.max(), lam.min())
-    shift = top * times
-    if not np.isfinite(shift).all():
-        t = times[~np.isfinite(shift)][0]
-        raise InvariantViolationError(f"growth exponent lambda_k t overflows at t = {float(t)!r}")
-    c = np.repeat(c0[None], times.shape[0], axis=0)
-    with np.errstate(over="ignore"):  # (lam - top) t of -inf is a factor of 0
-        c[:, live] *= np.exp((lam - top[:, None]) * times[:, None])
-    mag = np.abs(c)
-    c[mag < NEGLIGIBLE_MODE * mag.max(axis=1, keepdims=True)] = 0.0
-    return c, shift
-
-
-def _weights(size, orders, lam=None):
-    """The derivative weights (ik)^p lambda_k^q, k < size, one column per (p,
-    q) in orders (lambda_k^q taken as 1 without lam)."""
-    k = np.arange(size)
-    p, q = np.array(orders).T
-    return (1j * k)[:, None] ** p * (1.0 if lam is None else lam[:, None] ** q)
-
-
-def _derivatives(c, u, weights):
-    """Columns Re sum_k c_ik w_k e^{iku_i}, one per column w of the weights
-    (d_u^p d_t^q beta(u_i) for _weights' orders), for one coefficient row c or
-    a row c_i per point u_i; each point is one product of its own row with the
-    weights, free of the others."""
-    terms = c * np.exp(1j * np.multiply.outer(np.asarray(u, dtype=float), np.arange(c.shape[-1])))
-    return np.real(terms[..., None, :] @ weights)[..., 0, :]
 
 
 def _certificates(c):
@@ -311,11 +274,6 @@ def _root(c, order, left, right, fl, fr):
 _sweep = None
 
 
-def _store(s, times, swept, row, u):
-    global _sweep
-    _sweep = (s, np.array(times, dtype=float), swept, row, u)
-
-
 def _swept(s, times, rows):
     """(row, u): the zeros _cell_zeros finds in the rows of s at times[rows],
     row counting in rows, from the last sweep when it covered them at these
@@ -328,7 +286,7 @@ def _swept(s, times, rows):
         index[np.searchsorted(swept, rows)] = np.arange(rows.shape[0])
         keep = index[row] >= 0
         return index[row[keep]], u[keep]
-    return _cell_zeros(_evolved_rows(s, times[rows])[0])[1:3]
+    return _cell_zeros(_finite_rows(_row(s), s.eigenvalues(), times[rows])[0])[1:3]
 
 
 def _counts(s, times):
@@ -336,7 +294,8 @@ def _counts(s, times):
     number of zeros _cell_zeros finds.  The sweep also takes the certified
     rows a drop may start at (the next row open or certified lower), so that
     detect_strict_decrease finds every drop's first row in it."""
-    c, _ = _evolved_rows(s, times)
+    global _sweep
+    c, _ = _finite_rows(_row(s), s.eigenvalues(), times)
     mode, margin = _certificates(c)
     counts = 2 * mode
     open_ = margin <= CERTIFICATE_MARGIN
@@ -346,17 +305,18 @@ def _counts(s, times):
     if swept.size:
         z, row, u = _cell_zeros(c[swept])[:3]
         counts[open_] = z[open_[swept]]
-        _store(s, times, swept, row, u)
+        _sweep = (s, np.array(times, dtype=float), swept, row, u)
     return counts.tolist()
 
 
 def _reports(s, times):
     """find_zeros at every time: the zeros _cell_zeros finds in every row,
     polished by Newton steps, each of the kind its certificate proves."""
-    c, shift = _evolved_rows(s, times)
+    global _sweep
+    c, shift = _finite_rows(_row(s), s.eigenvalues(), times)
     mode, margin = _certificates(c)
     _, row, u, lo, hi = _cell_zeros(c)
-    _store(s, times, np.arange(c.shape[0]), row, u)
+    _sweep = (s, np.array(times, dtype=float), np.arange(c.shape[0]), row, u)
     simple = lo < hi    # a pinned zero (lo = u = hi) is multiple to rounding
     # Newton steps from a cell's secant root reach its zero, |beta| <= 18 eps
     # S_0 after 7 at every zero of the 3,000 benchmark-pool candidates; a step
@@ -369,7 +329,11 @@ def _reports(s, times):
     u = np.mod(u, 2.0 * np.pi)
     order = np.lexsort((u, row))
     row, u, simple = row[order], u[order], simple[order]
-    slope = np.exp(shift)[row] * _derivatives(c[row], u, _weights(c.shape[1], ((1, 0),)))[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = np.exp(shift)[row] * _derivatives(c[row], u, _weights(c.shape[1], ((1, 0),)))[:, 0]
+    if not np.isfinite(slope).all():
+        raise InvariantViolationError(
+            f"a slope d_u beta overflows at t = {float(times[row[~np.isfinite(slope)][0]])!r}")
     kind = np.where(simple, "simple_cusp", "degenerate")
     zeros = list(map(Zero, u.tolist(), slope.tolist(), kind.tolist()))
     end = np.cumsum(np.bincount(row, minlength=c.shape[0])).tolist()
@@ -381,13 +345,11 @@ def _reports(s, times):
 def find_zeros(s: SpectralBeta, t) -> CuspReport:
     """All zeros of beta(., t) on [0, 2*pi), polished by Newton steps on beta,
     each a simple_cusp or degenerate as the certificate that found it proves."""
-    if t < 0:
-        raise ValidationError(f"time must be >= 0, got {t}")
-    return _reports(s, [t])[0]
+    return _reports(s, [_check_time(t)])[0]
 
 
 def _time_grid(times):
-    times = np.asarray(times, dtype=float)
+    times = _check_time(times)
     if times.ndim != 1 or np.any(times <= 0.0) or np.any(np.diff(times) <= 0.0):
         raise ValidationError("times must be strictly increasing and positive")
     return times
@@ -420,17 +382,14 @@ def report_series(s: SpectralBeta, times):
 
 def _jets(s, orders):
     """jet(u, t) -> (columns d_u^p d_t^q beta(u_i, t_i) / S_0(t_i) for (p, q) in
-    orders, w): every (u_i, t_i) at once, w_i the coefficients c_k e^{lambda_k
-    t_i} / S_0(t_i) with S_0(t) = sum_k |c_k| e^{lambda_k t}, which bounds
-    |beta(., t)|; the largest growth factor is divided out first.  The
+    orders, w): every (u_i, t_i) at once, w_i the row of t_i (_rows) over
+    S_0(t_i) = sum_k |w_ik|, which bounds |beta(., t_i)| e^{-shift}.  The
     weights are built once, for every call of jet."""
-    c0, lam = s.cos_coeffs - 1j * s.sin_coeffs, s.eigenvalues()
-    live = c0 != 0.0
+    c, lam = _row(s), s.eigenvalues()
     weights = _weights(lam.shape[0], orders, lam)
 
     def jet(u, t):
-        rate = np.where(live, np.multiply.outer(t, lam), -np.inf)
-        w = c0 * np.exp(rate - rate.max(axis=1, keepdims=True))
+        w = _rows(c, lam, t)[0]
         w /= np.abs(w).sum(axis=1, keepdims=True)
         return _derivatives(w, u, weights), w
 
@@ -627,7 +586,7 @@ def _bisect(s, t_lo, z_lo, t_hi, z_hi):
         # the fold lies in (lo, hi] to rounding; one before cur_t belongs to
         # an event already reported
         lo = max(lo - EVENT_DT, cur_t)
-        row, zeros = _cell_zeros(_evolved_rows(s, [lo])[0])[1:3]
+        row, zeros = _cell_zeros(_finite_rows(_row(s), s.eigenvalues(), [lo])[0])[1:3]
         start = np.r_[zeros, _starts(row, zeros, 1)[0]]     # three merge at the middle one
         [fold] = _newton(s, start, np.full(start.shape, 0.5 * (lo + hi)), np.array([lo]),
                          np.array([hi]), np.array([1]), np.zeros(start.shape, dtype=int))

@@ -16,10 +16,12 @@ b_k = (1/pi) int beta_0 sin(ku), so that the synthesis
 
 is an identity for band-limited data.
 
-Every evaluation runs on one mode-space kernel.  _spectrum forms the
-coefficients c_k = (a_k - i b_k) (ik)^p lambda_k^q w(lambda_k), so that
-d_u^p d_t^q of sum_k w(lambda_k) beta_k is Re sum_k c_k e^{iku}
-(w = e^{lambda t} for beta itself).  _synthesize sums such a series at
+Every evaluation, here and in cusps and asymptotics, runs on one mode-space
+kernel.  _row is c_k = a_k - i b_k and _weights are (ik)^p lambda_k^q, so
+d_u^p d_t^q of sum_k w(lambda_k) beta_k is Re sum_k c_k (ik)^p lambda_k^q
+w(lambda_k) e^{iku}, the coefficients of _spectrum.  _rows evolves a row to
+a stack of times, dividing out the largest growth factor and dropping no
+mode, and _derivatives sums a row per point.  _synthesize sums a series at
 arbitrary points by one complex-exponential matmul, or on the uniform grid
 u_j = 2 pi j/N by one inverse FFT: e^{i p u_j} depends on p mod N only, so
 folding the coefficients into those N bins is exact for any truncation K,
@@ -35,10 +37,10 @@ The certificate depends on (beta_0, X_0) alone, not on t, so it is computed
 once per (s, curve, tol): each further time costs two inverse FFTs.  A
 refused curve is not remembered and is refused again.
 
-The eigenvalues and the frequencies n +- k (per (n, K)), the FFT frequencies
-(per N) and the frozen frame (per (n, N)) are built once and shared
-read-only through the memo of :mod:`legendreflow.curves`, whose bound is
-documented at curves._table.
+The eigenvalues and the frequencies n +- k (per (n, K)), the weights of
+_spectrum (per (n, K, du, dt)), the FFT frequencies (per N) and the frozen
+frame (per (n, N)) are built once and shared read-only through the memo of
+:mod:`legendreflow.curves`, whose bound is documented at curves._table.
 """
 
 from __future__ import annotations
@@ -170,20 +172,62 @@ def analyze_beta(beta0, n, truncation=None):
     return SpectralBeta(n=n, cos_coeffs=a, sin_coeffs=b)
 
 
-def _spectrum(s: SpectralBeta, weight, du=0, dt=0, keep=True):
+def _row(s: SpectralBeta):
+    """c_k = a_k - i b_k for k = 0..K: beta_0 = Re sum_k c_k e^{iku}."""
+    return s.cos_coeffs - 1j * s.sin_coeffs
+
+
+def _weights(size, orders, lam=None):
+    """The derivative weights (ik)^p lambda_k^q, k < size, one column per (p,
+    q) in orders (lambda_k^q taken as 1 without lam)."""
+    k = np.arange(size)
+    p, q = np.array(orders).T
+    return (1j * k)[:, None] ** p * (1.0 if lam is None else lam[:, None] ** q)
+
+
+def _spectrum(s: SpectralBeta, weight, du=0, dt=0):
     """c_k = (a_k - i b_k) (ik)^du lambda_k^dt weight(lambda_k) for k = 0..K, so
     that Re sum_k c_k e^{iku} is d_u^du d_t^dt of sum_k weight(lambda_k) beta_k.
 
-    weight sees only the lambda of the nonzero terms (those not masked off by
-    keep): a vanishing term stays exactly zero, never 0 * inf.
+    weight sees only the lambda of the nonzero terms: a vanishing term stays
+    exactly zero, never 0 * inf.
     """
-    k = np.arange(s.truncation + 1)
     lam = s.eigenvalues()
-    c = (s.cos_coeffs - 1j * s.sin_coeffs) * ((1j * k) ** du if du else 1.0) \
-        * lam**dt * keep
+    c = _row(s) * _table(("weights", s.n, s.truncation, du, dt),
+                         lambda: _weights(lam.shape[0], ((du, dt),), lam)[:, 0])
     live = c != 0.0
     c[live] *= weight(lam[live])
     return c
+
+
+def _rows(c, lam, times):
+    """(rows, shift) with rows_ik = c_k e^{lambda_k t_i - shift_i}, shift_i the
+    largest lambda_k t_i of a nonzero c_k (c a row of beta_0 or of some of its
+    modes): beta(u, t_i) = e^{shift_i} Re sum_k rows_ik e^{iku}.  It never
+    raises; a time whose shift is no finite double gives non-finite rows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = np.where(c != 0.0, np.multiply.outer(times, lam), -np.inf)
+        shift = rate.max(axis=1)
+        return c * np.exp(rate - shift[:, None]), shift
+
+
+def _finite_rows(c, lam, times):
+    """_rows, refused with InvariantViolationError where a shift is no finite double."""
+    times = np.asarray(times, dtype=float)
+    rows, shift = _rows(c, lam, times)
+    if not np.isfinite(shift).all():
+        raise InvariantViolationError(
+            f"growth exponent lambda_k t overflows at t = {float(times[~np.isfinite(shift)][0])!r}")
+    return rows, shift
+
+
+def _derivatives(c, u, weights):
+    """Columns Re sum_k c_ik w_k e^{iku_i}, one per column w of the weights
+    (d_u^p d_t^q beta(u_i) for _weights' orders), for one coefficient row c or
+    a row c_i per point u_i; each point is one product of its own row with the
+    weights, free of the others."""
+    terms = c * np.exp(1j * np.multiply.outer(np.asarray(u, dtype=float), np.arange(c.shape[-1])))
+    return np.real(terms[..., None, :] @ weights)[..., 0, :]
 
 
 def _synthesize(p, d, u):
@@ -211,10 +255,12 @@ def _beta(s: SpectralBeta, t, u, du=0, dt=0):
 
 
 def _check_time(t):
-    if not np.isfinite(t):
-        raise ValidationError(f"time must be finite, got {t}")
-    if t < 0:
-        raise ValidationError(f"time must be >= 0, got {t}")
+    """The time or times t as a float array, each finite and >= 0 (else ValidationError)."""
+    times = np.asarray(t, dtype=float)
+    bad = times[~np.isfinite(times) | (times < 0)]
+    if bad.size:
+        raise ValidationError(f"time must be finite and >= 0, got {bad[0]}")
+    return times
 
 
 def _evolved(s: SpectralBeta, t, weight, du=0, dt=0, gain=1.0):
@@ -261,7 +307,7 @@ def _increment(s: SpectralBeta, u):
     h_p (e^{ipu} - 1)/(ip), and p = 0 (the n band, |a_n|, |b_n| <= N_BAND_TOL
     are admitted) to h_0 u.
     """
-    p, h = _shifted(s, s.cos_coeffs - 1j * s.sin_coeffs)
+    p, h = _shifted(s, _row(s))
     w = np.divide(h, 1j * p, out=np.zeros_like(h), where=p != 0)
     points = uniform_grid(u) if isinstance(u, (int, np.integer)) else u
     z = _synthesize(p, w, u) - np.sum(w) + np.sum(h[p == 0]) * points
@@ -355,7 +401,7 @@ def _certify(s: SpectralBeta, curve: LegendreCurve, consistency_tol):
         * np.fft.fft(positions[:, 0] + 1j * positions[:, 1], norm="forward")
     if num % 2 == 0:
         residual[num // 2] = 0.0
-    p, h = _shifted(s, s.cos_coeffs - 1j * s.sin_coeffs)
+    p, h = _shifted(s, _row(s))
     np.subtract.at(residual, np.mod(p, num), h)
     rounding = CONSISTENCY_ROUNDING * np.finfo(float).eps * num * np.max(np.abs(positions))
     if np.sum(np.abs(residual)) > consistency_tol + rounding:

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from legendreflow.curves import uniform_grid
-from legendreflow.spectral import SpectralBeta, evolve_beta
+from legendreflow.spectral import SpectralBeta, _derivatives, _row, _rows, _weights, evolve_beta
+
+
+def evolved_rows(s, times):
+    """(rows, shift) of s at the times, from the library's one row builder."""
+    return _rows(_row(s), s.eigenvalues(), np.asarray(times, dtype=float))
 
 
 def random_closed_spectral(rng, max_index=3, max_truncation=8):
@@ -171,10 +176,10 @@ def per_time_reports(s, times):
     classified on their own by DERIVATIVE_THRESHOLD (the report before its
     rows were stacked and solved by cells): per time (t, [(u, d_u beta,
     kind)], certificate)."""
-    from legendreflow.cusps import CERTIFICATE_MARGIN, _certificates, _evolved_rows
+    from legendreflow.cusps import CERTIFICATE_MARGIN, _certificates
     from legendreflow.spectral import _series
 
-    c, shift = _evolved_rows(s, times)
+    c, shift = evolved_rows(s, times)
     mode, margin = _certificates(c)
     out = []
     for t, row, h, j, m in zip(times, c, shift, mode, margin):
@@ -207,10 +212,10 @@ def bisection_strict_decrease(s, series):
     one Newton solve of beta = d_u beta = 0 in (u, t) from the bracket's
     midpoint and the angle of the root pair that left the circle at its end
     (the detector before it solved for the folds directly)."""
-    from legendreflow.cusps import DecreaseEvent, _counts, _derivatives, _evolved_rows, _weights
+    from legendreflow.cusps import DecreaseEvent, _counts
 
     def row(t):
-        return _evolved_rows(s, [t])[0][0]
+        return evolved_rows(s, [t])[0][0]
 
     def count(t):
         return _counts(s, [t])[0]
@@ -257,10 +262,12 @@ def matrix_fold_boxes(s, u, t, lo, hi):
     """cusps._fold_boxes' radii with its Newton-Kantorovich test in matrix
     form, on stacks of 2 x 2 matrices (the certificate before it was written
     out row by row): nan where the test fails."""
-    from legendreflow.cusps import FOLD_BOX, _jets
+    from legendreflow.cusps import FOLD_BOX
 
-    values, w = _jets(s, ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1)))(u, t)
-    b, bu, bt, buu, but = values.T
+    w = evolved_rows(s, t)[0]
+    w /= np.abs(w).sum(axis=1, keepdims=True)
+    b, bu, bt, buu, but = _derivatives(
+        w, u, _weights(w.shape[1], ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1)), s.eigenvalues())).T
     lam = np.abs(s.eigenvalues())
     k = np.arange(lam.shape[0])
     mag = np.abs(w)

@@ -122,6 +122,11 @@ class TestScaledError:
             with pytest.raises(LegendreFlowError, match="rotation index"):
                 call()
 
+    def test_non_finite_time_rejected(self):
+        s, curve = two_mode_data()
+        with pytest.raises(ValidationError, match="finite"):
+            scaled_error(s, curve, np.nan)
+
     def test_small_by_t_eight(self):
         s, curve = two_mode_data()
         assert scaled_error(s, curve, 8.0) < 1e-4
@@ -170,6 +175,13 @@ class TestFitDecayRate:
         for t, err in report.errors:
             assert err == scaled_error(s, curve, t)
             assert abs(err - per_mode_scaled_error(s, t)) <= 1e-12 * max(1.0, err)
+
+    def test_non_finite_time_rejected(self, capfd):
+        # refused before the fit, so no LAPACK complaint reaches stderr
+        s, curve = two_mode_data()
+        with pytest.raises(ValidationError, match="finite"):
+            fit_decay_rate(s, curve, [1.0, 2.0, np.nan, 4.0, 5.0])
+        assert capfd.readouterr().err == ""
 
     def test_predicted_rate_eigen_arithmetic(self):
         s = SpectralBeta.from_modes(1, modes={2: (1.0, 0.0), 4: (0.1, 0.0)})

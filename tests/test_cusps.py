@@ -11,6 +11,7 @@ from conftest import (
     bisection_strict_decrease,
     companion_zeros,
     degenerate_zero_near,
+    evolved_rows,
     grid_zero_count,
     matrix_fold_boxes,
     no_eigensolve,
@@ -26,7 +27,8 @@ from legendreflow.cusps import (
     zero_count_series,
 )
 from legendreflow.errors import InvariantViolationError, ValidationError
-from legendreflow.spectral import SpectralBeta, evolve_beta
+from legendreflow.spectral import (SpectralBeta, _derivatives, _finite_rows, _row, _rows, _weights,
+                                   evolve_beta)
 
 
 class TestFindZeros:
@@ -80,7 +82,7 @@ class TestFindZeros:
         s = random_closed_spectral(np.random.default_rng(seed))
         report = find_zeros(s, t)
         # the grid oracle cannot resolve near-tangential zeros
-        c, shift = cusps._evolved_rows(s, [t])
+        c, shift = evolved_rows(s, [t])
         scale = np.exp(shift[0]) * sampled_sup(c)[0]
         assume(all(abs(z.derivative) >= 1e-3 * scale for z in report.zeros))
         assert report.count == grid_zero_count(s, t)
@@ -89,6 +91,58 @@ class TestFindZeros:
         s = SpectralBeta.from_modes(1, a0=1.0)
         with pytest.raises(ValidationError):
             find_zeros(s, -1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda s: find_zeros(s, np.nan),
+        lambda s: find_zeros(s, np.inf),
+        lambda s: zero_count_series(s, [1.0, np.inf]),
+    ], ids=["find_zeros nan", "find_zeros inf", "series inf"])
+    def test_non_finite_time_rejected(self, call):
+        # a time that is not finite is the caller's error, not an overflow
+        s = SpectralBeta.from_modes(1, modes={2: (1.0, 0.0)})
+        with pytest.raises(ValidationError, match="finite"):
+            call(s)
+
+    def test_overflowed_slope_refused(self, tmp_path, capfd):
+        # beta(., 2000) has 4 zeros, but e^{lambda_2 t} = e^{1111} times d_u beta
+        # is no double: refused, with nothing printed
+        s = SpectralBeta.from_modes(3, 0.0, {2: (1, 0.3), 4: (0.5, 0.0)})
+        assert cusps._counts(s, [2000.0]) == [4]
+        with pytest.raises(InvariantViolationError, match="slope"):
+            find_zeros(s, 2000.0)
+        assert capfd.readouterr().err == ""
+        code = main(["cusps", "--n", "3", "--mode", "2:1:0.3", "--mode", "4:0.5",
+                     "--times", "1,2000", "--outdir", str(tmp_path / "out")])
+        assert code == 3
+        assert "slope" in capfd.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestEvolvedRows:
+    """Counts, reports and the fold solve read their rows from one builder,
+    spectral._rows, which drops no mode however small."""
+
+    def test_tiny_mode_kept(self):
+        # mode 3 at 1e-15 of mode 2 at t = 0, and further below it later
+        s = SpectralBeta.from_modes(1, modes={2: (1.0, 0.0), 3: (1e-15, 0.0)})
+        for t in (0.0, 1.0):
+            rows, shift = evolved_rows(s, [t])
+            assert shift[0] == -3.0 * t
+            assert rows[0, 3] == 1e-15 * np.exp(-8.0 * t + 3.0 * t)
+            assert rows[0, 2] == 1.0
+            c, _ = _finite_rows(_row(s), s.eigenvalues(), [t])
+            assert c.tobytes() == rows.tobytes()
+
+    def test_jets_divide_the_rows_by_s0(self, rng):
+        for _ in range(10):
+            s = random_closed_spectral(rng, max_truncation=12)
+            u, t = rng.uniform(0.0, 2.0 * np.pi, 5), rng.uniform(0.0, 10.0, 5)
+            rows = _rows(_row(s), s.eigenvalues(), t)[0]
+            rows /= np.abs(rows).sum(axis=1, keepdims=True)
+            values, w = cusps._jets(s, ((0, 0), (1, 0)))(u, t)
+            assert w.tobytes() == rows.tobytes()
+            assert values.tobytes() == _derivatives(rows, u, _weights(
+                rows.shape[1], ((0, 0), (1, 0)), s.eigenvalues())).tobytes()
 
 
 def _beta0(kind, seed):
@@ -115,7 +169,7 @@ class TestStackedSolve:
     @settings(max_examples=80, deadline=None)
     def test_certified_count_is_exact(self, kind, seed, t):
         s = _beta0(kind, seed)
-        c, _ = cusps._evolved_rows(s, [t])
+        c, _ = evolved_rows(s, [t])
         mode, margin = cusps._certificates(c)
         exact = companion_zeros(c[0])[0].shape[0]
         assert cusps._counts(s, [t])[0] == exact
@@ -134,7 +188,7 @@ class TestStackedSolve:
     @settings(max_examples=80, deadline=None)
     def test_cell_count_is_exact(self, kind, seed, t):
         s = _beta0(kind, seed)
-        c, _ = cusps._evolved_rows(s, [t])
+        c, _ = evolved_rows(s, [t])
         with rolle_cells() as cells:
             [cell] = cusps._cell_zeros(c)[0]
         # zeros closer than a halved cell, which the grid oracle cannot resolve
@@ -148,7 +202,7 @@ class TestStackedSolve:
         # each once, pinned to its grid point
         s = SpectralBeta.from_modes(1, a0=0.01, modes={2: (1.0, 0.0)})
         t_star = np.log(100.0) / 4.0
-        c, _ = cusps._evolved_rows(s, [t_star])
+        c, _ = evolved_rows(s, [t_star])
         assert cusps._certificates(c)[1][0] <= cusps.CERTIFICATE_MARGIN
         with no_eigensolve(), rolle_cells() as cells:
             report = find_zeros(s, t_star)
@@ -168,14 +222,14 @@ class TestStackedSolve:
         t = np.log(100.0) / 4.0 - gap
         with rolle_cells() as cells:
             report = find_zeros(s, t)
-        row = cusps._evolved_rows(s, [t])[0][0]
+        row = evolved_rows(s, [t])[0][0]
         assert cells
         assert report.count == 4 == companion_zeros(row)[0].shape[0]
         assert {z.kind for z in report.zeros} == {"simple_cusp"}
         u = np.array([z.location for z in report.zeros])
         offset = (u - np.pi / 2 * np.array([1, 1, 3, 3])) * np.array([-1, 1, -1, 1])
         assert np.allclose(offset, np.sqrt(2.0 * gap), rtol=1e-3, atol=0.0)
-        beta = cusps._derivatives(row, u, cusps._weights(row.shape[0], ((0, 0),)))[:, 0]
+        beta = _derivatives(row, u, _weights(row.shape[0], ((0, 0),)))[:, 0]
         assert np.max(np.abs(beta)) <= 64 * np.finfo(float).eps * np.abs(row).sum()
 
     def test_series_matches_report_series(self):
@@ -204,10 +258,10 @@ class TestStackedSolve:
         # that stalls, such as one that drops steps longer than a limit, leaves
         # |beta| far above rounding there
         s = _beta0(kind, seed)
-        row = cusps._evolved_rows(s, [t])[0][0]
+        row = evolved_rows(s, [t])[0][0]
         u = [z.location for z in find_zeros(s, t).zeros if z.kind == "simple_cusp"]
         assume(u)
-        beta = cusps._derivatives(row, u, cusps._weights(row.shape[0], ((0, 0),)))[:, 0]
+        beta = _derivatives(row, u, _weights(row.shape[0], ((0, 0),)))[:, 0]
         assert np.max(np.abs(beta)) <= 64 * np.finfo(float).eps * np.abs(row).sum()
 
     @pytest.mark.parametrize("kind", ["random", "double zeros", "double zero on the seam"])
@@ -431,7 +485,7 @@ class TestFoldLocator:
                                    max_truncation=12)
         series = zero_count_series(s, self.TIMES)
         lows = [t for (t, z), (_, z1) in zip(series, series[1:]) if z1 < z]
-        c, _ = cusps._evolved_rows(s, lows)
+        c, _ = evolved_rows(s, lows)
         assert cusps._cell_zeros(c)[0].tolist() == [companion_zeros(row)[0].shape[0] for row in c]
         events = detect_strict_decrease(s, series)
         reference = bisection_strict_decrease(s, series)
@@ -455,7 +509,7 @@ class TestFoldLocator:
             times = self.TIMES
         counts = [z for _, z in zero_count_series(s, times)]
         first = np.flatnonzero(np.diff(counts) < 0)
-        rows = cusps._evolved_rows(s, times[first])[0]
+        rows = evolved_rows(s, times[first])[0]
         if index is None:
             assert cusps._certificates(rows)[1][0] > cusps.CERTIFICATE_MARGIN
         fresh = cusps._starts(*cusps._cell_zeros(rows)[1:3], first.shape[0])

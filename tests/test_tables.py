@@ -36,8 +36,11 @@ def fresh(key):
     if kind == "spline symbol":
         num = args[0]
         return 6.0 / (4.0 + 2.0 * np.cos(2.0 * np.pi / num * np.arange(num // 2 + 1)))
-    n, top = args
+    n, top, *orders = args
     k = np.arange(top + 1)
+    if kind == "weights":
+        du, dt = orders
+        return (1j * k) ** du * (1.0 - (k * k) / (n * n)) ** dt
     if kind == "eigenvalues":
         return 1.0 - (k * k) / (n * n)
     assert kind == "frequencies"
@@ -84,7 +87,7 @@ def test_tables_are_read_only_and_fresh(cleared, n, num):
     SelfSimilarProfile(n=n, m=n + 1, c1=1.0, c2=0.0).normal(num)
     kinds = {key[0] for key in curves._tables}
     assert kinds == {"grid", "frame", "fftfreq", "rfftfreq", "spline symbol",
-                     "eigenvalues", "frequencies"}
+                     "eigenvalues", "frequencies", "weights"}
     for key, table in curves._tables.items():
         assert not table.flags.writeable, key
         assert same_bits(table, fresh(key)), key
