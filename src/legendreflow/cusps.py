@@ -65,8 +65,8 @@ interval holds (z_lo - z_hi)/2 distinct ones there is no other, each drops z
 by exactly 2, and the counts between them are known without a solve.
 Newton's method on F = (beta, d_u beta) = 0 in (u, t) finds the folds, from
 the midpoints between adjacent zeros at t_lo (those of the cell sweep that
-counted the series, _swept), taken at t_lo, (t_lo + t_hi)/2 and t_hi, and
-the Newton-Kantorovich test proves each in the box
+counted the series, _swept), taken at (t_lo + t_hi)/2, and the
+Newton-Kantorovich test proves each in the box
 B = [u0 - r, u0 + r] x [t0 - r, t0 + r] of the max norm: with J the Jacobian
 at the centre x0 and A its inverse, Y = |A|(|F(x0)| + rounding) bounds the
 Newton step, Z0 = |I - AJ| + |A| (rounding of J), and Z2 = |A| L with L
@@ -77,9 +77,10 @@ holds a zero of F.  A fold is certified when B also lies inside the interval
 and keeps |beta_uu| above 0, and the boxes of an interval are pairwise
 disjoint, so their folds are distinct.  Folds whose certified t-ranges [t0 -
 r, t0 + r] overlap are one event, and the box's F(x0) is its witness.  A
-drop its certified folds do not account for (a fold no start reaches, or a
-degenerate one such as three zeros merging) is bracketed by bisection in t
-to EVENT_DT instead.
+drop its certified folds do not account for is solved again from the same
+angles taken at t_lo, (t_lo + t_hi)/2 and t_hi, and one that solve leaves
+unaccounted too (a fold no start reaches, or a degenerate one such as three
+zeros merging) is bracketed by bisection in t to EVENT_DT instead.
 """
 
 from __future__ import annotations
@@ -331,9 +332,11 @@ def _reports(s, times):
     row, u, simple = row[order], u[order], simple[order]
     with np.errstate(over="ignore", invalid="ignore"):
         slope = np.exp(shift)[row] * _derivatives(c[row], u, _weights(c.shape[1], ((1, 0),)))[:, 0]
-    if not np.isfinite(slope).all():
-        raise InvariantViolationError(
-            f"a slope d_u beta overflows at t = {float(times[row[~np.isfinite(slope)][0]])!r}")
+    # a simple zero's slope is not 0, so 0 is e^{shift} below the smallest double
+    for bad, what in ((~np.isfinite(slope), "overflows"), (simple & (slope == 0.0), "underflows")):
+        if bad.any():
+            raise InvariantViolationError(
+                f"a slope d_u beta {what} at t = {float(times[row[bad][0]])!r}")
     kind = np.where(simple, "simple_cusp", "degenerate")
     zeros = list(map(Zero, u.tolist(), slope.tolist(), kind.tolist()))
     end = np.cumsum(np.bincount(row, minlength=c.shape[0])).tolist()
@@ -462,20 +465,21 @@ def _distinct(u, t, residual, group, hi):
     return i[np.lexsort((t[i], group[i]))]
 
 
-def _folds(s, lo, hi, pairs, starts):
+def _folds(s, lo, hi, pairs, starts, at):
     """Per drop interval (lo, hi) that loses pairs zero pairs, its folds (u,
-    t, residual): _newton from each of its start angles at t = lo, (lo +
-    hi)/2 and hi, the intervals whose starts begin within the same
-    NEWTON_STARTS as one iteration."""
-    size = np.array([3 * x.shape[0] for x in starts])
+    t, residual): _newton from each of its start angles at every time (1 -
+    f) lo + f hi for f in at (0.5 is (lo + hi)/2, 0 and 1 its ends, to the
+    bit), the intervals whose starts begin within the same NEWTON_STARTS as
+    one iteration."""
+    size = np.array([len(at) * x.shape[0] for x in starts])
     chunk = (np.cumsum(size) - size) // NEWTON_STARTS
     folds = []
     for c in np.unique(chunk):
         i = np.flatnonzero(chunk == c)
-        group = np.repeat(np.arange(i.shape[0]), size[i] // 3)
-        t = np.stack([lo[i], 0.5 * (lo[i] + hi[i]), hi[i]])[:, group].ravel()
-        folds += _newton(s, np.tile(np.concatenate([starts[j] for j in i]), 3), t,
-                         lo[i], hi[i], pairs[i], np.tile(group, 3))
+        group = np.repeat(np.arange(i.shape[0]), size[i] // len(at))
+        t = np.stack([(1.0 - f) * lo[i] + f * hi[i] for f in at])[:, group].ravel()
+        folds += _newton(s, np.tile(np.concatenate([starts[j] for j in i]), len(at)), t,
+                         lo[i], hi[i], pairs[i], np.tile(group, len(at)))
     return folds
 
 
@@ -603,13 +607,15 @@ def detect_strict_decrease(s: SpectralBeta, series):
     """Locate and certify every strict decrease in a zero-count series.
 
     In each drop interval the folds, the degenerate zeros where a zero pair
-    is lost, are solved for by Newton's method (_folds) from the zeros at
-    its start, which the series' own cell sweep found (_swept).  When the
-    interval holds one certified fold per lost pair (_accounted), each fold
-    drops the count by 2, and folds whose certified t-ranges overlap make
-    one event, whose last fold is the witness and whose time t_event; the
-    witness beta and d_u beta over S_0 are those of its box.  A drop they do
-    not account for is bracketed by bisection in t instead (_bisect).
+    is lost, are solved for by Newton's method (_folds) from the midpoints
+    between the zeros at its start, which the series' own cell sweep found
+    (_swept), taken at the interval's midpoint time.  When the interval
+    holds one certified fold per lost pair (_accounted), each fold drops the
+    count by 2, and folds whose certified t-ranges overlap make one event,
+    whose last fold is the witness and whose time t_event; the witness beta
+    and d_u beta over S_0 are those of its box.  A drop they do not account
+    for is solved again from the same angles at its start, midpoint and end
+    times, and one still unaccounted is bracketed by bisection in t (_bisect).
     """
     first = [i for i in range(len(series) - 1) if series[i + 1][1] < series[i][1]]
     if not first:
@@ -619,9 +625,18 @@ def detect_strict_decrease(s: SpectralBeta, series):
     pairs = (z_lo - z_hi) // 2
     times = np.array([t for t, _ in series], dtype=float)
     starts = _starts(*_swept(s, times, np.array(first)), len(first))
-    folds = _folds(s, lo, hi, pairs, starts) or [[] for _ in drops]
+
+    def solve(i, at):
+        found = _folds(s, lo[i], hi[i], pairs[i], [starts[j] for j in i], at) or [[] for _ in i]
+        return found, _accounted(s, lo[i], hi[i], pairs[i], found)
+
+    folds, boxes = solve(np.arange(len(drops)), (0.5,))
+    retry = np.flatnonzero([box is None for box in boxes])
+    if retry.size:
+        for i, found, box in zip(retry, *solve(retry, (0.0, 0.5, 1.0))):
+            folds[i], boxes[i] = found, box
     raw = []
-    for drop, found, box in zip(drops, folds, _accounted(s, lo, hi, pairs, folds)):
+    for drop, found, box in zip(drops, folds, boxes):
         if box is None:
             raw += _bisect(s, *drop)
             continue

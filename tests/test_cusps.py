@@ -371,14 +371,20 @@ class TestLargeTime:
     """beta(., t) = e^{-3t} cos 2u underflows for large t; its 4 zeros stay."""
 
     @pytest.mark.parametrize("t", ["300", "800"])
-    def test_cli_reports_four_zeros(self, tmp_path, t):
+    def test_underflowed_slope_refused(self, tmp_path, capfd, t):
+        # the count holds at any t, but each simple zero's slope e^{-3t} times
+        # d_u beta is below the smallest double and would read 0: a report
+        # is refused, with nothing printed, and the CLI writes nothing
+        s = SpectralBeta.from_modes(1, modes={2: (1.0, 0.0)})
+        assert zero_count_series(s, [float(t)]) == [(float(t), 4)]
+        with pytest.raises(InvariantViolationError, match="slope d_u beta underflows"):
+            find_zeros(s, float(t))
+        assert capfd.readouterr().err == ""
         code = main(["cusps", "--n", "1", "--mode", "2:1", "--times", t,
-                     "--outdir", str(tmp_path)])
-        assert code == 0
-        report = json.loads((tmp_path / "cusp_report.json").read_text())
-        assert [entry["count"] for entry in report["series"]] == [4]
-        locs = [z["u"] for z in report["series"][0]["zeros"]]
-        assert np.max(np.abs(np.array(locs) - np.pi / 4 * np.array([1, 3, 5, 7]))) < 1e-12
+                     "--outdir", str(tmp_path / "out")])
+        assert code == 3
+        assert "underflows" in capfd.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestTinyCoefficients:
@@ -635,8 +641,8 @@ class TestFoldLocator:
         assert event.certificate[0] == "fold"
         folds = cusps._folds
 
-        def missing(s, lo, hi, pairs, starts):
-            found = folds(s, lo, hi, pairs, starts)
+        def missing(s, lo, hi, pairs, starts, at):
+            found = folds(s, lo, hi, pairs, starts, at)
             return [[] if t == pytest.approx(0.2212216) else f for f, t in zip(found, lo)]
 
         monkeypatch.setattr(cusps, "_folds", missing)
@@ -647,6 +653,89 @@ class TestFoldLocator:
         for event in events:
             star = degenerate_zero_near(s, event.witness_u, event.t_event)
             assert abs(star[1] - event.t_event) <= 1e-13
+
+    def test_start_budget(self, monkeypatch):
+        # acceptance test 05's draws: the first fold solve of a series takes
+        # one start per gap between adjacent zeros at each drop's start, z_lo
+        # starts per drop, all at the drop's midpoint time
+        newton = cusps._newton
+        calls = []
+
+        def recorded(s, u, t, lo, hi, pairs, group):
+            calls.append((u.shape[0], t, lo[group], hi[group]))
+            return newton(s, u, t, lo, hi, pairs, group)
+
+        monkeypatch.setattr(cusps, "_newton", recorded)
+        rng = np.random.default_rng(777)
+        solved = 0
+        for _ in range(100):
+            s = random_closed_spectral(rng, max_truncation=6)
+            series = zero_count_series(s, self.TIMES)
+            calls.clear()
+            detect_strict_decrease(s, series)
+            z_lo = [z for (_, z), (_, z1) in zip(series, series[1:]) if z1 < z]
+            if not z_lo:
+                assert calls == []
+                continue
+            size, t, lo, hi = calls[0]
+            assert size == sum(z_lo)
+            assert t.tobytes() == (0.5 * (lo + hi)).tobytes()
+            solved += 1
+        assert solved > 50
+
+    def test_refused_midpoint_folds_solved_from_the_ends(self, monkeypatch):
+        # acceptance test 05's draws with every box of the midpoint solve
+        # refused: the second solve, from t_lo, the midpoint and t_hi,
+        # certifies every event at its folds
+        accounted = cusps._accounted
+        calls = []
+
+        def refused(s, lo, hi, pairs, folds):
+            boxes = accounted(s, lo, hi, pairs, folds)
+            calls.append(lo)
+            return [None] * len(boxes) if len(calls) == 1 else boxes
+
+        monkeypatch.setattr(cusps, "_accounted", refused)
+        rng = np.random.default_rng(777)
+        events_seen = 0
+        for _ in range(100):
+            s = random_closed_spectral(rng, max_truncation=6)
+            series = zero_count_series(s, self.TIMES)
+            calls.clear()
+            events = detect_strict_decrease(s, series)
+            reference = bisection_strict_decrease(s, series)
+            assert _event_key(events) == _event_key(reference)
+            for event, ref in zip(events, reference):
+                assert event.certificate[0] == "fold"
+                assert abs(event.t_event - ref.t_event) <= 1e-13
+            if events:
+                assert len(calls) == 2 and np.array_equal(calls[0], calls[1])
+            events_seen += len(events)
+        assert events_seen > 100
+
+    def test_retried_pool_candidate(self, monkeypatch):
+        # candidate 67 of the benchmark pool: the midpoint solve leaves the
+        # drop 12 -> 10 over (0.108, 0.137) unaccounted, and the solve from
+        # its ends certifies its fold
+        s = random_closed_spectral(np.random.default_rng([20251006, 67]), max_truncation=12)
+        series = zero_count_series(s, self.TIMES)
+        folds = cusps._folds
+        solved = []
+
+        def recorded(s, lo, hi, pairs, starts, at):
+            solved.append((lo.tolist(), at))
+            return folds(s, lo, hi, pairs, starts, at)
+
+        monkeypatch.setattr(cusps, "_folds", recorded)
+        events = detect_strict_decrease(s, series)
+        assert solved[1:] == [([pytest.approx(0.1082637)], (0.0, 0.5, 1.0))]
+        assert solved[0][1] == (0.5,)
+        reference = bisection_strict_decrease(s, series)
+        assert _event_key(events) == _event_key(reference)
+        assert ((0.10826367338740546, 0.1373823795883263), 12, 10) in _event_key(events)
+        for event, ref in zip(events, reference):
+            assert event.certificate[0] == "fold"
+            assert abs(event.t_event - ref.t_event) <= 1e-13
 
     def test_counts_certify_refused_folds(self, monkeypatch):
         # acceptance test 05's draws with every fold box refused: bisection
