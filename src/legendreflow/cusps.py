@@ -77,10 +77,12 @@ holds a zero of F.  A fold is certified when B also lies inside the interval
 and keeps |beta_uu| above 0, and the boxes of an interval are pairwise
 disjoint, so their folds are distinct.  Folds whose certified t-ranges [t0 -
 r, t0 + r] overlap are one event, and the box's F(x0) is its witness.  A
-drop its certified folds do not account for is solved again from the same
-angles taken at t_lo, (t_lo + t_hi)/2 and t_hi, and one that solve leaves
-unaccounted too (a fold no start reaches, or a degenerate one such as three
-zeros merging) is bracketed by bisection in t to EVENT_DT instead.
+drop its certified folds do not account for (a fold no start reaches, or a
+degenerate one such as three zeros merging) is split at its midpoint time m,
+and each half that still drops is solved again from the zeros at its start
+and the midpoints between them, until the count at m pins a zero or no
+double lies strictly between the drop's ends: then it is one event in the
+bracket between its ends, whose counts are clean.
 """
 
 from __future__ import annotations
@@ -93,8 +95,6 @@ from .errors import InvariantViolationError, ValidationError
 from .spectral import (SpectralBeta, _check_time, _derivatives, _finite_rows, _row, _rows,
                        _series, _weights)
 
-# The width in t to which the bisection fallback brackets each event.
-EVENT_DT = 1e-6
 # The dominant-mode certificate settles z(t) when its margin exceeds this.
 # That is far above rounding, but a lower value would change which rows the
 # cells sweep and which reports carry a certificate.
@@ -143,7 +143,8 @@ class DecreaseEvent:
     witness_u: float
     witness_beta: float
     witness_dbeta: float
-    # ("fold", box radius, residual) or ("bisection",): see detect_strict_decrease
+    # ("fold", box radius, residual) or ("bracket", r), the drop within r of
+    # t_event: see detect_strict_decrease
     certificate: tuple | None = None
 
 
@@ -465,21 +466,19 @@ def _distinct(u, t, residual, group, hi):
     return i[np.lexsort((t[i], group[i]))]
 
 
-def _folds(s, lo, hi, pairs, starts, at):
+def _folds(s, lo, hi, pairs, starts):
     """Per drop interval (lo, hi) that loses pairs zero pairs, its folds (u,
-    t, residual): _newton from each of its start angles at every time (1 -
-    f) lo + f hi for f in at (0.5 is (lo + hi)/2, 0 and 1 its ends, to the
-    bit), the intervals whose starts begin within the same NEWTON_STARTS as
-    one iteration."""
-    size = np.array([len(at) * x.shape[0] for x in starts])
+    t, residual): _newton from each of its start angles at (lo + hi)/2, the
+    intervals whose starts begin within the same NEWTON_STARTS as one
+    iteration."""
+    size = np.array([x.shape[0] for x in starts])
     chunk = (np.cumsum(size) - size) // NEWTON_STARTS
     folds = []
     for c in np.unique(chunk):
         i = np.flatnonzero(chunk == c)
-        group = np.repeat(np.arange(i.shape[0]), size[i] // len(at))
-        t = np.stack([(1.0 - f) * lo[i] + f * hi[i] for f in at])[:, group].ravel()
-        folds += _newton(s, np.tile(np.concatenate([starts[j] for j in i]), len(at)), t,
-                         lo[i], hi[i], pairs[i], np.tile(group, len(at)))
+        group = np.repeat(np.arange(i.shape[0]), size[i])
+        folds += _newton(s, np.concatenate([starts[j] for j in i]),
+                         (0.5 * (lo[i] + hi[i]))[group], lo[i], hi[i], pairs[i], group)
     return folds
 
 
@@ -560,96 +559,96 @@ def _groups(folds):
     return groups
 
 
-def _starts(row, zeros, size):
-    """Newton start angles per drop interval: the midpoints between adjacent
-    zeros at its start, the zeros (row, u) that _cell_zeros found in the
-    size intervals' first rows."""
-    order = np.lexsort((zeros, row))
-    row, zeros = row[order], zeros[order]
-    count = np.bincount(row, minlength=size)
-    # each zero's next one in its row, the last one's the first one
-    last = np.r_[row[1:] != row[:-1], True]
-    following = np.where(last, zeros[(np.cumsum(count) - count)[row]] + 2.0 * np.pi,
-                         np.r_[zeros[1:], 0.0])
-    return np.split(0.5 * (zeros + following), np.cumsum(count)[:-1])
+def _by_row(row, u, size):
+    """The zeros (row, u) that _cell_zeros found in size rows, per row, sorted."""
+    order = np.lexsort((u, row))
+    return np.split(u[order], np.cumsum(np.bincount(row, minlength=size))[:-1])
 
 
-def _bisect(s, t_lo, z_lo, t_hi, z_hi):
-    """The events of the drop from z_lo at t_lo to z_hi at t_hi, each
-    bracketed by bisection in t to EVENT_DT; the witness is _newton's fold
-    in the bracket from its midpoint and the zeros and _starts at its lo (the
-    midpoint and the first zero if it finds none)."""
-    events = []
-    cur_t, cur_z = t_lo, z_lo
-    while cur_z > z_hi:
-        lo, hi = cur_t, t_hi
-        while hi - lo > EVENT_DT:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if _counts(s, [mid])[0] < cur_z else (mid, hi)
-        z_after = _counts(s, [hi])[0]
-        # the fold lies in (lo, hi] to rounding; one before cur_t belongs to
-        # an event already reported
-        lo = max(lo - EVENT_DT, cur_t)
-        row, zeros = _cell_zeros(_finite_rows(_row(s), s.eigenvalues(), [lo])[0])[1:3]
-        start = np.r_[zeros, _starts(row, zeros, 1)[0]]     # three merge at the middle one
-        [fold] = _newton(s, start, np.full(start.shape, 0.5 * (lo + hi)), np.array([lo]),
-                         np.array([hi]), np.array([1]), np.zeros(start.shape, dtype=int))
-        wu, t_event = fold[0][:2] if fold else (float(start[0]), 0.5 * (lo + hi))
-        events.append(((t_lo, t_hi), t_event, cur_z, z_after, wu))
-        cur_t, cur_z = hi, z_after
-    with np.errstate(all="ignore"):
-        witness = _jets(s, ((0, 0), (1, 0)))(np.array([e[4] for e in events]),
-                                              np.array([e[1] for e in events]))[0]
-    return [(*event, w, ("bisection",)) for event, w in zip(events, witness)]
+def _starts(zeros):
+    """Newton start angles from sorted zeros: the midpoints between adjacent
+    ones, the last one's next the first one."""
+    return 0.5 * (zeros + np.r_[zeros[1:], zeros[:1] + 2.0 * np.pi])
 
 
 def detect_strict_decrease(s: SpectralBeta, series):
-    """Locate and certify every strict decrease in a zero-count series.
+    """Locate and certify every strict decrease in a zero-count series,
+    checked as zero_count_series checks its own.
 
     In each drop interval the folds, the degenerate zeros where a zero pair
     is lost, are solved for by Newton's method (_folds) from the midpoints
     between the zeros at its start, which the series' own cell sweep found
-    (_swept), taken at the interval's midpoint time.  When the interval
-    holds one certified fold per lost pair (_accounted), each fold drops the
-    count by 2, and folds whose certified t-ranges overlap make one event,
-    whose last fold is the witness and whose time t_event; the witness beta
-    and d_u beta over S_0 are those of its box.  A drop they do not account
-    for is solved again from the same angles at its start, midpoint and end
-    times, and one still unaccounted is bracketed by bisection in t (_bisect).
+    (_swept), taken at its midpoint time.  When the interval holds one
+    certified fold per lost pair (_accounted), each fold drops the count by
+    2, and folds whose certified t-ranges overlap make one event, whose last
+    fold is the witness and whose time t_event; the witness beta and d_u
+    beta over S_0 are those of its box.  A drop they do not account for is
+    split at its midpoint m (the counts and zeros at every m of a round from
+    one _cell_zeros call), and the halves that still drop are solved again,
+    from the zeros at their start and the midpoints between them (three
+    zeros merge at the middle one).  A drop whose count at m holds a pinned
+    zero, or with no double strictly between its ends, is one event
+    ("bracket", r) within r of t_event, at the fold Newton's method found in
+    it (the first start angle at m if none).  Every event keeps its drop's
+    series interval.
     """
+    times = _time_grid([t for t, _ in series])
+    _monotone(series)
     first = [i for i in range(len(series) - 1) if series[i + 1][1] < series[i][1]]
     if not first:
         return []
-    drops = [(*series[i], *series[i + 1]) for i in first]
-    lo, z_lo, hi, z_hi = (np.array(column) for column in zip(*drops))
-    pairs = (z_lo - z_hi) // 2
-    times = np.array([t for t, _ in series], dtype=float)
-    starts = _starts(*_swept(s, times, np.array(first)), len(first))
-
-    def solve(i, at):
-        found = _folds(s, lo[i], hi[i], pairs[i], [starts[j] for j in i], at) or [[] for _ in i]
-        return found, _accounted(s, lo[i], hi[i], pairs[i], found)
-
-    folds, boxes = solve(np.arange(len(drops)), (0.5,))
-    retry = np.flatnonzero([box is None for box in boxes])
-    if retry.size:
-        for i, found, box in zip(retry, *solve(retry, (0.0, 0.5, 1.0))):
-            folds[i], boxes[i] = found, box
+    # (t_lo, z_lo, t_hi, z_hi, zeros at t_lo, Newton starts, series interval)
+    drops = [(times[i], series[i][1], times[i + 1], series[i + 1][1], z, _starts(z),
+              (float(times[i]), float(times[i + 1])))
+             for i, z in zip(first, _by_row(*_swept(s, times, np.array(first)), len(first)))]
     raw = []
-    for drop, found, box in zip(drops, folds, boxes):
-        if box is None:
-            raw += _bisect(s, *drop)
-            continue
-        t_lo, z, t_hi, _ = drop
-        radius, witness = (x.tolist() for x in box)
-        for group in _groups([fold + (r, w) for fold, r, w in zip(found, radius, witness)]):
-            u, t, _, _, w = group[-1]
-            certificate = ("fold", max(f[3] for f in group), max(f[2] for f in group))
-            raw.append(((t_lo, t_hi), t, z, z - 2 * len(group), u, w, certificate))
-            z -= 2 * len(group)
-    return [DecreaseEvent((float(t_lo), float(t_hi)), float(t_event), int(before), int(after),
-                          float(u), float(wbeta), float(wdbeta), certificate)
-            for (t_lo, t_hi), t_event, before, after, u, (wbeta, wdbeta), certificate in raw]
+    while drops:
+        lo, z_lo, hi, z_hi = (np.array(x) for x in list(zip(*drops))[:4])
+        pairs = (z_lo - z_hi) // 2
+        folds = _folds(s, lo, hi, pairs, [drop[5] for drop in drops])
+        split = []
+        for drop, found, box in zip(drops, folds, _accounted(s, lo, hi, pairs, folds)):
+            if box is None:
+                split.append((drop, found))
+                continue
+            t_lo, z, _, _, _, _, interval = drop
+            radius, witness = (x.tolist() for x in box)
+            for group in _groups([fold + (r, w) for fold, r, w in zip(found, radius, witness)]):
+                u, t, _, _, w = group[-1]
+                certificate = ("fold", max(f[3] for f in group), max(f[2] for f in group))
+                raw.append((t_lo, t, interval, z, z - 2 * len(group), u, w, certificate))
+                z -= 2 * len(group)
+        if not split:
+            break
+        mid = np.array([0.5 * (drop[0] + drop[2]) for drop, _ in split])
+        z_mid, row, um, left, right = _cell_zeros(_finite_rows(_row(s), s.eigenvalues(), mid)[0])
+        pinned = np.bincount(row[left == right], minlength=mid.shape[0]) > 0
+        drops, ends = [], []
+        for (drop, found), m, z, stop, at_mid in zip(split, mid.tolist(), z_mid.tolist(), pinned,
+                                                     _by_row(row, um, mid.shape[0])):
+            t_lo, z_lo, t_hi, z_hi, zeros, starts, interval = drop
+            if not z_hi <= z <= z_lo:
+                raise InvariantViolationError(
+                    f"zero count {z} at t={m:g} is outside the drop from {z_lo} at "
+                    f"t={t_lo:g} to {z_hi} at t={t_hi:g}")
+            if stop or not t_lo < m < t_hi:
+                u, t = found[0][:2] if found else (float(starts[0]), m)
+                radius = float(max(t - t_lo, t_hi - t))
+                ends.append((t_lo, t, interval, z_lo, z_hi, u, ("bracket", radius)))
+                continue
+            if z < z_lo:
+                drops.append((t_lo, z_lo, m, z, zeros, np.r_[zeros, _starts(zeros)], interval))
+            if z > z_hi:
+                drops.append((m, z, t_hi, z_hi, at_mid, np.r_[at_mid, _starts(at_mid)], interval))
+        if ends:
+            with np.errstate(all="ignore"):
+                witness = _jets(s, ((0, 0), (1, 0)))(*(np.array([e[j] for e in ends])
+                                                        for j in (5, 1)))[0]
+            raw += [(*e[:6], w, e[6]) for e, w in zip(ends, witness)]
+    raw.sort(key=lambda event: event[:2])
+    return [DecreaseEvent(interval, float(t_event), int(before), int(after), float(u),
+                          float(wbeta), float(wdbeta), certificate)
+            for _, t_event, interval, before, after, u, (wbeta, wdbeta), certificate in raw]
 
 
 def __getattr__(name):

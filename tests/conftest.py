@@ -202,8 +202,8 @@ def per_time_reports(s, times):
     return out
 
 
-#: The bracket width of the bisection reference, kept apart from the
-#: library's own EVENT_DT.
+#: The bracket width of the bisection reference: the library splits a drop
+#: at midpoints until its folds account for it, with no set width.
 EVENT_DT = 1e-6
 
 

@@ -155,6 +155,26 @@ class TestCusps:
         assert certificate["kind"] == "fold"
         assert 0.0 < certificate["radius"] < 1e-12 and 0.0 <= certificate["residual"] < 1e-12
 
+    def test_three_zeros_merging_bracketed(self, tmp_path, monkeypatch):
+        # n = 2, 0.05 cos u + cos 3u: three zeros merge at u = pi/2 and at
+        # 3 pi/2 when t = ln(60)/2, where no fold box holds, so the drop is
+        # split to a bracket; the split leaves the series' own sweep in place
+        from legendreflow import cusps
+
+        code = run(["cusps", "--n", "2", "--mode", "1:0.05", "--mode", "3:1",
+                    "--times", "0.5,3", "--outdir", str(tmp_path)])
+        assert code == 0
+        [event] = json.loads((tmp_path / "cusp_report.json").read_text())["events"]
+        assert event["drop"] == [6, 2]
+        certificate = event["certificate"]
+        assert sorted(certificate) == ["kind", "radius"] and certificate["kind"] == "bracket"
+        assert 0.0 < certificate["radius"] <= 1e-6
+        assert abs(event["t_event"] - np.log(60.0) / 2.0) < 1e-12
+        s, times = cusps._sweep[:2]
+        assert times.tolist() == [0.5, 3.0]
+        monkeypatch.setattr(cusps, "_cell_zeros", None)     # a new sweep would raise
+        assert cusps._swept(s, times, np.array([0]))[0].shape == (6,)
+
     def test_certificate_of_a_pure_mode(self, tmp_path):
         code = run(["cusps", "--mode", "2:1", "--outdir", str(tmp_path)])
         assert code == 0

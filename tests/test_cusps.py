@@ -366,6 +366,37 @@ class TestDetectStrictDecrease:
         scale = np.max(np.abs(evolve_beta(s, event.t_event, grid)))
         assert abs(val) < 1e-4 * scale
 
+    def test_series_checked_as_zero_count_series_checks_its_own(self):
+        s = SpectralBeta.from_modes(1, a0=0.01, modes={2: (1.0, 0.0)})
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            detect_strict_decrease(s, [(2.0, 4), (0.5, 0)])
+        with pytest.raises(ValidationError, match="strictly increasing and positive"):
+            detect_strict_decrease(s, [(0.0, 4), (2.0, 0)])
+        with pytest.raises(InvariantViolationError, match="increased from 0"):
+            detect_strict_decrease(s, [(0.5, 0), (2.0, 4)])
+
+    def test_split_count_outside_the_drop_refused(self):
+        # z = 0 at the midpoint 1.25 of a drop the series claims goes 4 -> 2
+        s = SpectralBeta.from_modes(1, a0=0.01, modes={2: (1.0, 0.0)})
+        with pytest.raises(InvariantViolationError, match="outside the drop from 4"):
+            detect_strict_decrease(s, [(0.5, 4), (2.0, 2)])
+
+    def test_unaccounted_drop_split_to_its_fold(self):
+        # over the wide drop (2, 11) no start of the midpoint solve reaches
+        # the fold at t = 5.3046638, so the drop is split once, and the solve
+        # of the half (2, 6.5) from its start's zeros and the midpoints
+        # between them certifies it
+        s = SpectralBeta.from_modes(3, a0=-0.0636, modes={
+            1: (0.1914, -0.2947), 2: (1.1239, 0.2271), 4: (0.2231, 0.9949)})
+        series = zero_count_series(s, [2.0, 11.0])
+        assert series == [(2.0, 4), (11.0, 2)]
+        [event] = detect_strict_decrease(s, series)
+        assert (event.interval, event.count_before, event.count_after) == ((2.0, 11.0), 4, 2)
+        assert event.certificate[0] == "fold"
+        assert abs(event.t_event - 5.3046638) < 1e-7
+        star = degenerate_zero_near(s, event.witness_u, event.t_event)
+        assert abs(star[1] - event.t_event) <= 1e-13
+
 
 class TestLargeTime:
     """beta(., t) = e^{-3t} cos 2u underflows for large t; its 4 zeros stay."""
@@ -449,7 +480,7 @@ def _event_key(events):
 
 class TestFoldLocator:
     """detect_strict_decrease solves for the folds by Newton's method and
-    falls back to bisection only for drops the folds do not account for."""
+    splits in t only the drops the folds do not account for."""
 
     TIMES = np.geomspace(0.01, 10.0, 30)
 
@@ -518,26 +549,29 @@ class TestFoldLocator:
         rows = evolved_rows(s, times[first])[0]
         if index is None:
             assert cusps._certificates(rows)[1][0] > cusps.CERTIFICATE_MARGIN
-        fresh = cusps._starts(*cusps._cell_zeros(rows)[1:3], first.shape[0])
-        fresh = [x.tobytes() for x in fresh]
+
+        def starts(row, u):
+            return [cusps._starts(z).tobytes() for z in cusps._by_row(row, u, first.shape[0])]
+
+        fresh = starts(*cusps._cell_zeros(rows)[1:3])
         for series in (zero_count_series, cusps.report_series):
             series(s, times)
             with monkeypatch.context() as patch:
                 patch.setattr(cusps, "_cell_zeros", None)   # a new sweep would raise
-                cached = cusps._starts(*cusps._swept(s, times, first), first.shape[0])
-            assert [x.tobytes() for x in cached] == fresh
+                cached = starts(*cusps._swept(s, times, first))
+            assert cached == fresh
         # another beta's sweep of the same times is not taken for this one's
         cusps.report_series(SpectralBeta.from_modes(1, modes={2: (1.0, 0.0)}), times)
-        cached = cusps._starts(*cusps._swept(s, times, first), first.shape[0])
-        assert [x.tobytes() for x in cached] == fresh
+        assert starts(*cusps._swept(s, times, first)) == fresh
 
     @pytest.mark.parametrize("sweep", ["series", "reports"])
     def test_one_sweep_per_series(self, fft_calls, sweep):
         # acceptance test 05's draws: the events take their Newton starts
         # from the series' own cell sweep, so a series and its events cost
-        # one inverse FFT
+        # one inverse FFT; the last draw's drop (3.86, 4.89) is split once,
+        # and its midpoint count costs one more
         rng = np.random.default_rng(777)
-        for _ in range(100):
+        for draw in range(100):
             s = random_closed_spectral(rng, max_truncation=6)
             before = len(fft_calls)
             if sweep == "series":
@@ -545,7 +579,7 @@ class TestFoldLocator:
             else:
                 series = [(r.t, r.count) for r in cusps.report_series(s, self.TIMES)]
             detect_strict_decrease(s, series)
-            assert fft_calls[before:] == ["ifft"]
+            assert fft_calls[before:] == ["ifft"] * (2 if draw == 99 else 1)
 
     def test_threads_keep_their_own_starts(self):
         # the sweep is one slot shared by every caller: threads that count
@@ -612,25 +646,32 @@ class TestFoldLocator:
 
     def test_bisection_fallback_on_three_zeros_merging(self, monkeypatch):
         # n = 2, 0.05 cos u + cos 3u: at t = ln(60)/2 three zeros merge at
-        # u = pi/2 and three at 3 pi/2, where the Jacobian is singular
+        # u = pi/2 and three at 3 pi/2, where the Jacobian is singular, so
+        # no fold box holds and the drop is split until a midpoint count
+        # pins a zero: one event in the bracket between clean counts
         s = SpectralBeta.from_modes(2, modes={1: (0.05, 0.0), 3: (1.0, 0.0)})
         series = zero_count_series(s, [0.5, 3.0])
+        t_star = np.log(60.0) / 2.0
         # Newton from the symmetric start stays on u = pi/2 and finds t*
         newton = detect_strict_decrease(s, series)
-        monkeypatch.setattr(cusps, "_folds", lambda *args: [])
+        monkeypatch.setattr(cusps, "_folds", lambda s, lo, *args: [[] for _ in lo])
         bisected = detect_strict_decrease(s, series)
         assert _event_key(bisected) == _event_key(bisection_strict_decrease(s, series))
-        assert bisected[0].count_before == 6 and bisected[-1].count_after == 2
-        assert _event_key(newton) == [((0.5, 3.0), 6, 2)]
+        assert _event_key(newton) == _event_key(bisected) == [((0.5, 3.0), 6, 2)]
         for event in newton + bisected:
-            assert abs(event.t_event - np.log(60.0) / 2.0) < 1e-12
-            assert min(abs(event.witness_u - np.pi / 2), abs(event.witness_u - 3 * np.pi / 2)) < 1e-6
-            assert abs(event.witness_beta) < 1e-12 and abs(event.witness_dbeta) < 1e-12
+            kind, radius = event.certificate
+            assert kind == "bracket" and 0.0 < radius <= 1e-6
+            assert abs(event.t_event - t_star) <= radius
+        [event] = newton
+        assert abs(event.t_event - t_star) < 1e-12
+        assert min(abs(event.witness_u - np.pi / 2), abs(event.witness_u - 3 * np.pi / 2)) < 1e-6
+        assert abs(event.witness_beta) < 1e-12 and abs(event.witness_dbeta) < 1e-12
 
     def test_bisection_fallback_reached_where_newton_misses(self, monkeypatch):
         # candidate 1477 of the benchmark pool: the starts between adjacent
-        # zeros at the beginning of (0.221, 0.281) reach its fold.  With that
-        # fold hidden from _folds, bisection finds the event
+        # zeros at the beginning of (0.221, 0.281) reach its fold.  With the
+        # folds of every drop starting there hidden from _folds, the drop is
+        # split until a half that starts past 0.221 certifies the fold
         s = random_closed_spectral(np.random.default_rng([20251006, 1477]),
                                    max_truncation=12)
         series = zero_count_series(s, self.TIMES)
@@ -641,15 +682,14 @@ class TestFoldLocator:
         assert event.certificate[0] == "fold"
         folds = cusps._folds
 
-        def missing(s, lo, hi, pairs, starts, at):
-            found = folds(s, lo, hi, pairs, starts, at)
+        def missing(s, lo, hi, pairs, starts):
+            found = folds(s, lo, hi, pairs, starts)
             return [[] if t == pytest.approx(0.2212216) else f for f, t in zip(found, lo)]
 
         monkeypatch.setattr(cusps, "_folds", missing)
         events = detect_strict_decrease(s, series)
         assert _event_key(events) == reference
-        bisected = [e for e in events if e.certificate == ("bisection",)]
-        assert len(bisected) == 1 and bisected[0].interval[0] == pytest.approx(0.2212216)
+        assert {e.certificate[0] for e in events} == {"fold"}
         for event in events:
             star = degenerate_zero_near(s, event.witness_u, event.t_event)
             assert abs(star[1] - event.t_event) <= 1e-13
@@ -684,15 +724,15 @@ class TestFoldLocator:
         assert solved > 50
 
     def test_refused_midpoint_folds_solved_from_the_ends(self, monkeypatch):
-        # acceptance test 05's draws with every box of the midpoint solve
-        # refused: the second solve, from t_lo, the midpoint and t_hi,
+        # acceptance test 05's draws with every box of the series' solve
+        # refused: every drop is split once, and the solve of its halves
         # certifies every event at its folds
         accounted = cusps._accounted
         calls = []
 
         def refused(s, lo, hi, pairs, folds):
             boxes = accounted(s, lo, hi, pairs, folds)
-            calls.append(lo)
+            calls.append(list(zip(lo.tolist(), hi.tolist())))
             return [None] * len(boxes) if len(calls) == 1 else boxes
 
         monkeypatch.setattr(cusps, "_accounted", refused)
@@ -709,27 +749,29 @@ class TestFoldLocator:
                 assert event.certificate[0] == "fold"
                 assert abs(event.t_event - ref.t_event) <= 1e-13
             if events:
-                assert len(calls) == 2 and np.array_equal(calls[0], calls[1])
+                assert len(calls) == 2
+                halves = {half for lo, hi in calls[0]
+                          for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))}
+                assert set(calls[1]) <= halves
             events_seen += len(events)
         assert events_seen > 100
 
     def test_retried_pool_candidate(self, monkeypatch):
-        # candidate 67 of the benchmark pool: the midpoint solve leaves the
-        # drop 12 -> 10 over (0.108, 0.137) unaccounted, and the solve from
-        # its ends certifies its fold
+        # candidate 67 of the benchmark pool: the series' solve leaves the
+        # drop 12 -> 10 over (0.108, 0.137) unaccounted, it is split once,
+        # and the solve of its half (0.108, 0.123) certifies its fold
         s = random_closed_spectral(np.random.default_rng([20251006, 67]), max_truncation=12)
         series = zero_count_series(s, self.TIMES)
         folds = cusps._folds
         solved = []
 
-        def recorded(s, lo, hi, pairs, starts, at):
-            solved.append((lo.tolist(), at))
-            return folds(s, lo, hi, pairs, starts, at)
+        def recorded(s, lo, hi, pairs, starts):
+            solved.append((lo.tolist(), hi.tolist()))
+            return folds(s, lo, hi, pairs, starts)
 
         monkeypatch.setattr(cusps, "_folds", recorded)
         events = detect_strict_decrease(s, series)
-        assert solved[1:] == [([pytest.approx(0.1082637)], (0.0, 0.5, 1.0))]
-        assert solved[0][1] == (0.5,)
+        assert solved[1:] == [([pytest.approx(0.1082637)], [pytest.approx(0.1228230)])]
         reference = bisection_strict_decrease(s, series)
         assert _event_key(events) == _event_key(reference)
         assert ((0.10826367338740546, 0.1373823795883263), 12, 10) in _event_key(events)
@@ -738,8 +780,8 @@ class TestFoldLocator:
             assert abs(event.t_event - ref.t_event) <= 1e-13
 
     def test_counts_certify_refused_folds(self, monkeypatch):
-        # acceptance test 05's draws with every fold box refused: bisection
-        # certifies the events instead
+        # acceptance test 05's draws with every fold box refused: the drops
+        # are split until each is one event in a bracket between clean counts
         monkeypatch.setattr(cusps, "_fold_boxes", lambda s, u, t, lo, hi: (
             np.full(u.shape, np.nan), np.zeros((u.shape[0], 2))))
         rng = np.random.default_rng(777)
@@ -750,7 +792,8 @@ class TestFoldLocator:
             reference = bisection_strict_decrease(s, series)
             assert _event_key(events) == _event_key(reference)
             for event, ref in zip(events, reference):
-                assert event.certificate == ("bisection",)
+                kind, radius = event.certificate
+                assert kind == "bracket" and radius <= 1e-6
                 assert abs(event.t_event - ref.t_event) <= 1e-13
 
     def test_event_solve_budget(self):
@@ -796,14 +839,14 @@ class TestFoldCertificate:
         # n = 2, 0.05 cos u + cos 3u: three zeros merge at u = pi/2 and at
         # 3 pi/2 when t = ln(60)/2, where d_u^2 beta = 0 and the Jacobian is
         # singular; test_bisection_fallback_on_three_zeros_merging sees the
-        # fallback find that event
+        # split bracket that event
         s = SpectralBeta.from_modes(2, modes={1: (0.05, 0.0), 3: (1.0, 0.0)})
         t_star = np.log(60.0) / 2.0
         u = np.array([np.pi / 2, 3 * np.pi / 2])
         assert np.isnan(cusps._fold_boxes(s, u, np.full(2, t_star), np.full(2, 0.5),
                                           np.full(2, 3.0))[0]).all()
         events = detect_strict_decrease(s, zero_count_series(s, [0.5, 3.0]))
-        assert {e.certificate[0] for e in events} == {"bisection"}
+        assert {e.certificate[0] for e in events} == {"bracket"}
 
     def test_matches_the_matrix_form(self, monkeypatch):
         # acceptance test 05's draws: at every fold _accounted tries, and 1e-3
